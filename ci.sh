@@ -52,16 +52,17 @@ native_filter='Oracle|ThresholdEdge|DpScratch|Dtw|Frechet|Edr|Lcss|Erp|Distance|
 # The TSan pass covers every code path that shares memory across pool
 # threads: the pool itself, parallel index construction and tiling sorts
 # (FlatTrie/FlatStrTile), batched parallel verification, and the cluster
-# runtime's threaded stages.
-tsan_filter='ThreadPool|FlatTrie|FlatRTree|FlatStrTile|StrTile|Verif|Cluster|Engine|FaultTolerance|Partition|Obs|Logging|FlightRecorder|Cancellation|AdmissionGate|ChaosSoak|Serving|QueryScheduler|DitaService|BatchFilter|BatchExecute|Sketch|AnswerCache'
+# runtime's threaded stages, including the kNN sweep's shared k-th bound
+# (KnnOracleThreaded runs its partition tasks on four threads).
+tsan_filter='ThreadPool|FlatTrie|FlatRTree|FlatStrTile|StrTile|Verif|Cluster|Engine|FaultTolerance|Partition|Obs|Logging|FlightRecorder|Cancellation|AdmissionGate|ChaosSoak|Serving|QueryScheduler|DitaService|BatchFilter|BatchExecute|Sketch|AnswerCache|KnnOracle'
 
 # The chaos pass: the seeded chaos/soak harness (fault injection + random
 # mid-flight cancellation + tight budgets + the admission gate) plus the
 # cancellation/budget subset-invariant tests, under ASan/UBSan (leaks,
 # lifetime — budgets released on every exit path) and TSan (deadlocks,
 # races on the stop token and gate) across the fixed seed matrix baked into
-# chaos_soak_test.cc.
-chaos_filter='ChaosSoak|Cancellation|AdmissionGate'
+# chaos_soak_test.cc, plus the kNN oracle's stopped-sweep prefix cases.
+chaos_filter='ChaosSoak|Cancellation|AdmissionGate|KnnOracle'
 
 # The obs pass: exporter schema validation (obs_demo_schema runs the demo
 # with tracing and re-validates its Chrome trace, now including the serving

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -14,6 +16,21 @@
 #include "util/timer.h"
 
 namespace dita {
+
+Status ValidateKnnRequest(const QueryRequest& req, size_t table_size) {
+  if (req.query.size() < 2) {
+    return Status::InvalidArgument("query needs at least 2 points");
+  }
+  for (const Point& p : req.query.points()) {
+    if (!std::isfinite(p.x) || !std::isfinite(p.y)) {
+      return Status::InvalidArgument("query has a non-finite coordinate");
+    }
+  }
+  if (req.k > table_size) {
+    return Status::InvalidArgument("k exceeds the table cardinality");
+  }
+  return Status::OK();
+}
 
 DitaEngine::DitaEngine(std::shared_ptr<Cluster> cluster, const DitaConfig& config)
     : cluster_(std::move(cluster)), config_(config) {
@@ -148,23 +165,24 @@ uint64_t DitaEngine::EstimateQueryCost(const QueryRequest& req) const {
   if (req.cost_hint > 0) return req.cost_hint;
   if (!indexed_) return 1;
   switch (req.kind) {
-    case QueryKind::kSearch:
-    case QueryKind::kKnnSearch: {
+    case QueryKind::kSearch: {
       if (req.query.size() < 2) return 1;
       // Relevant-partition count is the unit the cluster actually pays per
       // probe stage; +1 covers the driver work every query does.
-      double tau = req.kind == QueryKind::kSearch ? req.tau : req.initial_tau;
-      if (req.kind == QueryKind::kKnnSearch && tau <= 0.0) {
-        const MBR qmbr = req.query.ComputeMBR();
-        tau = std::max(1e-9, 0.01 * PointDistance(qmbr.lo(), qmbr.hi()));
+      return static_cast<uint64_t>(
+                 RelevantPartitions(req.query, req.tau).size()) +
+             1;
+    }
+    case QueryKind::kKnnSearch: {
+      // The sweep plan must never see a non-finite query; k is checked
+      // against the table when the query runs.
+      if (!ValidateKnnRequest(req, std::numeric_limits<size_t>::max()).ok()) {
+        return 1;
       }
-      const Point* erp_gap = config_.distance == DistanceType::kERP
-                                 ? &config_.distance_params.erp_gap
-                                 : nullptr;
-      const std::vector<uint32_t> relevant = global_.RelevantPartitions(
-          req.query, tau, distance_->prune_mode(),
-          distance_->matching_epsilon(), erp_gap);
-      return static_cast<uint64_t>(relevant.size()) + 1;
+      // No radius to probe at: a kNN sweep visits at least its seed stage —
+      // the fewest lowest-bound partitions holding k trajectories — so that
+      // count, +1 for the driver, is its cost.
+      return static_cast<uint64_t>(PlanKnn(req.query, req.k).seed) + 1;
     }
     case QueryKind::kJoin: {
       // Upper bound of partition-pair probes, clamped so one estimate cannot
@@ -206,20 +224,15 @@ Result<QueryResult> DitaEngine::Execute(const QueryRequest& req) const {
     }
     case QueryKind::kKnnSearch: {
       if (!indexed_) return Status::Internal("KnnSearch before BuildIndex");
-      if (req.query.size() < 2) {
-        return Status::InvalidArgument("query needs at least 2 points");
-      }
+      DITA_RETURN_IF_ERROR(
+          ValidateKnnRequest(req, index_stats_.num_trajectories));
       if (req.k == 0) return res;
-      if (req.k > index_stats_.num_trajectories) {
-        return Status::InvalidArgument("k exceeds the table cardinality");
-      }
       AdmissionGate::Ticket ticket;
       double admission_wait = 0.0;
       DITA_RETURN_IF_ERROR(AdmitQuery(req.kind, req.ctx,
                                       EstimateQueryCost(req), &ticket,
                                       &admission_wait));
-      auto r =
-          KnnSearchImpl(req.query, req.k, req.initial_tau, qstats, req.ctx);
+      auto r = KnnSearchImpl(req.query, req.k, qstats, req.ctx);
       DITA_RETURN_IF_ERROR(r.status());
       if (qstats != nullptr) qstats->admission_wait_seconds = admission_wait;
       res.neighbors = std::move(*r);
@@ -271,13 +284,12 @@ Result<std::vector<TrajectoryId>> DitaEngine::Search(const Trajectory& q,
 }
 
 Result<std::vector<std::pair<TrajectoryId, double>>> DitaEngine::KnnSearch(
-    const Trajectory& q, size_t k, double initial_tau, QueryStats* stats,
+    const Trajectory& q, size_t k, QueryStats* stats,
     QueryContext* ctx) const {
   QueryRequest req;
   req.kind = QueryKind::kKnnSearch;
   req.query = q;
   req.k = k;
-  req.initial_tau = initial_tau;
   req.ctx = ctx;
   req.collect_stats = stats != nullptr;
   auto r = Execute(req);
@@ -457,6 +469,24 @@ TrieIndex::SearchSpec DitaEngine::MakeSpec(const Trajectory& q, double tau) cons
   return spec;
 }
 
+double DitaEngine::PartitionLowerBound(const Trajectory& q,
+                                       uint32_t partition) const {
+  return global_.LowerBound(q, partition, distance_->prune_mode(),
+                            distance_->matching_epsilon(),
+                            config_.distance == DistanceType::kERP
+                                ? &config_.distance_params.erp_gap
+                                : nullptr);
+}
+
+std::vector<uint32_t> DitaEngine::RelevantPartitions(const Trajectory& q,
+                                                     double tau) const {
+  return global_.RelevantPartitions(q, tau, distance_->prune_mode(),
+                                    distance_->matching_epsilon(),
+                                    config_.distance == DistanceType::kERP
+                                        ? &config_.distance_params.erp_gap
+                                        : nullptr);
+}
+
 bool DitaEngine::TrajectoryRelevantTo(const Trajectory& t,
                                       const GlobalIndex::PartitionSummary& s,
                                       double tau) const {
@@ -532,15 +562,10 @@ Result<std::vector<TrajectoryId>> DitaEngine::SearchImpl(
 
   // Driver: probe the global index for relevant partitions.
   CpuTimer driver_timer;
-  const Point* erp_gap = config_.distance == DistanceType::kERP
-                             ? &config_.distance_params.erp_gap
-                             : nullptr;
   std::vector<uint32_t> relevant;
   {
     obs::SpanGuard probe_span(tracer_, "probe.global");
-    relevant = global_.RelevantPartitions(q, tau, distance_->prune_mode(),
-                                          distance_->matching_epsilon(),
-                                          erp_gap);
+    relevant = RelevantPartitions(q, tau);
     probe_span.Arg("relevant", relevant.size());
   }
   const VerifyPrecomp qp = VerifyPrecomp::For(q, config_.verify.cell_size);
@@ -762,10 +787,6 @@ void DitaEngine::SearchBatchImpl(std::span<const QueryRequest> reqs,
   batch_span.Arg("queries", members.size());
   const size_t n = members.size();
   const size_t trie_levels = config_.build.trie.num_pivots + 2;
-  const Point* erp_gap = config_.distance == DistanceType::kERP
-                             ? &config_.distance_params.erp_gap
-                             : nullptr;
-
   // Driver: per member, relevant partitions + verification precomp (the
   // same work the standalone path performs, once per member).
   CpuTimer driver_timer;
@@ -774,10 +795,7 @@ void DitaEngine::SearchBatchImpl(std::span<const QueryRequest> reqs,
   qps.reserve(n);
   for (size_t m = 0; m < n; ++m) {
     const QueryRequest& req = reqs[members[m]];
-    relevant[m] = global_.RelevantPartitions(req.query, req.tau,
-                                             distance_->prune_mode(),
-                                             distance_->matching_epsilon(),
-                                             erp_gap);
+    relevant[m] = RelevantPartitions(req.query, req.tau);
     qps.push_back(VerifyPrecomp::For(req.query, config_.verify.cell_size));
   }
 
@@ -963,175 +981,200 @@ void DitaEngine::SearchBatchImpl(std::span<const QueryRequest> reqs,
   batch_span.Arg("results", batch_results);
 }
 
-Result<std::vector<std::pair<TrajectoryId, double>>> DitaEngine::KnnSearchImpl(
-    const Trajectory& q, size_t k, double initial_tau,
-    QueryStats* stats, QueryContext* ctx) const {
+DitaEngine::KnnPlan DitaEngine::PlanKnn(const Trajectory& q, size_t k) const {
+  KnnPlan plan;
+  plan.order.reserve(partitions_.size());
+  for (uint32_t p = 0; p < partitions_.size(); ++p) {
+    plan.order.emplace_back(PartitionLowerBound(q, p), p);
+  }
+  std::sort(plan.order.begin(), plan.order.end());
+  size_t held = 0;
+  while (plan.seed < plan.order.size() && (plan.seed == 0 || held < k)) {
+    held += partitions_[plan.order[plan.seed].second].trie.size();
+    ++plan.seed;
+  }
+  return plan;
+}
+
+Result<std::vector<KnnNeighbor>> DitaEngine::KnnSearchImpl(
+    const Trajectory& q, size_t k, QueryStats* stats, QueryContext* ctx,
+    const std::unordered_set<TrajectoryId>* skip, double* proven) const {
   const Cluster::CostSnapshot snap = cluster_->Snapshot();
   obs::SpanGuard knn_span(tracer_, "knn.query");
   knn_span.Arg("k", k);
-  const VerifyPrecomp qp = VerifyPrecomp::For(q, config_.verify.cell_size);
 
-  // Seed the expansion with a data-derived radius: the spread of the query
-  // itself is a reasonable unit of distance for its neighbourhood.
-  double tau = initial_tau;
-  if (tau <= 0.0) {
-    const MBR qmbr = q.ComputeMBR();
-    tau = std::max(1e-9, 0.01 * PointDistance(qmbr.lo(), qmbr.hi()));
-  }
+  // Driver: every partition's lower bound, in visit order.
+  CpuTimer driver_timer;
+  const KnnPlan plan = PlanKnn(q, k);
+  const SoaTrajectory qsoa(q);
+  const TrajView qv = qsoa.view();
+  cluster_->RecordDriverCompute(driver_timer.Seconds());
 
-  // Iterative threshold expansion: collect candidates at radius tau, keep
-  // exact distances, and stop once k answers lie within tau (then no
-  // trajectory outside radius tau can belong to the kNN set, because every
-  // result within tau beats it).
-  std::vector<std::pair<TrajectoryId, double>> scored;
-  // Snapshot of `scored` after the most recent *fully completed* round. A
-  // complete round at radius tau enumerated every trajectory within tau, so
-  // its answers — sorted by distance — are a true prefix of the kNN set
-  // even when fewer than k were found. A round cut short mid-flight proves
-  // nothing of the sort, so a stopped query falls back to this snapshot.
-  std::vector<std::pair<TrajectoryId, double>> last_complete;
-  bool stopped_early = false;
-  // Per-partition memo of exact distances: expansion rounds re-collect most
-  // of the previous round's candidates (the radius only grows), and exact
-  // DP scores are the expensive part, so they are computed once per
-  // (partition, position) across all rounds. Each partition appears in at
-  // most one task per round, so its map needs no locking — and memoized
-  // distances from an abandoned round stay valid for the next one.
-  std::vector<std::unordered_map<uint32_t, double>> memo(partitions_.size());
-  size_t total_candidates = 0;
-  size_t probed = 0;
-  const bool sketch = SketchActive();
-  for (int round = 0; round < 64; ++round) {
-    scored.clear();
-    const Point* erp_gap = config_.distance == DistanceType::kERP
-                               ? &config_.distance_params.erp_gap
-                               : nullptr;
-    CpuTimer driver_timer;
-    std::vector<uint32_t> relevant = global_.RelevantPartitions(
-        q, tau, distance_->prune_mode(), distance_->matching_epsilon(), erp_gap);
-    // Sketch tier, re-dilated each round (the dilation radius is the
-    // round's tau). Partition prune as in SearchImpl; per candidate the
-    // subset test skips the exact-distance computation — a skipped
-    // candidate provably has distance > tau, so it cannot enter `scored`.
-    SigBits dilated;
-    if (sketch) {
-      dilated = DilatedQuerySig(q, tau);
-      size_t pruned_parts = 0;
-      std::vector<uint32_t> kept_parts;
-      kept_parts.reserve(relevant.size());
-      for (const uint32_t pid : relevant) {
-        const Partition& part = partitions_[pid];
-        if (!part.sketch_agg.bits.Empty() &&
-            !part.sketch_agg.bits.Intersects(dilated)) {
-          ++pruned_parts;
-        } else {
-          kept_parts.push_back(pid);
-        }
+  // One slot per partition, in visit order; each task writes only its own.
+  struct Visit {
+    bool probed = false;    // the bound did not prune it at task start
+    bool complete = false;  // fully swept, or pruned by the bound
+    size_t candidates = 0;
+    VerifyStats vstats;
+  };
+  std::vector<Visit> visits(plan.order.size());
+  KnnTopK top(k);
+
+  // Sweeps one partition against the shared bound. Candidates are tried
+  // nearest endpoints first — only a visiting order, so the bound tightens
+  // early; the early-abandoning threshold kernel rejects most of the rest,
+  // and only its survivors pay for the exact distance.
+  const auto sweep = [&](size_t idx) {
+    const Partition& part = partitions_[plan.order[idx].second];
+    Visit& v = visits[idx];
+    double bound = top.Bound();
+    if (plan.order[idx].first > bound) {
+      v.complete = true;  // every member is farther than the k-th answer
+      return;
+    }
+    v.probed = true;
+    DpScratch& scratch = DpScratch::ThreadLocal();
+    std::vector<uint32_t>& cands = scratch.Candidates();
+    cands.clear();
+    if (std::isinf(bound)) {
+      cands.resize(part.trie.size());  // no k-th answer yet: all members
+      for (uint32_t pos = 0; pos < cands.size(); ++pos) cands[pos] = pos;
+    } else {
+      TrieIndex::SearchSpec spec = MakeSpec(q, bound);
+      spec.ctx = ctx;
+      part.trie.CollectCandidates(spec, &cands);
+      if (ctx != nullptr && ctx->stopped()) return;
+    }
+    v.candidates = cands.size();
+    v.vstats.pairs = cands.size();
+    std::vector<std::pair<double, uint32_t>> order;
+    order.reserve(cands.size());
+    for (const uint32_t pos : cands) {
+      const Trajectory& t = part.trie.trajectory(pos);
+      order.emplace_back(PointDistance(q.front(), t.front()) +
+                             PointDistance(q.back(), t.back()),
+                         pos);
+    }
+    std::sort(order.begin(), order.end());
+    scratch.SetQueryContext(ctx);  // the kernels poll it per row block
+    for (const auto& [endpoints, pos] : order) {
+      const TrajectoryId id = part.trie.trajectory(pos).id();
+      if (skip != nullptr && skip->count(id) > 0) continue;
+      const TrajView tv = part.precomp[pos].soa.view();
+      const uint64_t cells = static_cast<uint64_t>(tv.len) * qv.len;
+      ++v.vstats.dp_computed;
+      v.vstats.dp_cells += cells;
+      if (ctx != nullptr && ctx->ChargeDpCells(cells)) break;
+      bound = top.Bound();
+      if (!std::isinf(bound) &&
+          !distance_->WithinThreshold(tv, qv, bound, &scratch)) {
+        if (ctx != nullptr && ctx->stopped()) break;
+        continue;
       }
-      relevant.swap(kept_parts);
-      if (pruned_parts > 0) m_sketch_partitions_pruned_.Add(pruned_parts);
+      const double d = distance_->Compute(tv, qv, &scratch);
+      if (ctx != nullptr && ctx->stopped()) break;  // d may be cut short
+      ++v.vstats.accepted;
+      top.Offer(id, d);
     }
-    cluster_->RecordDriverCompute(driver_timer.Seconds());
+    scratch.SetQueryContext(nullptr);
+    v.complete = ctx == nullptr || !ctx->stopped();
+  };
 
-    struct RoundOut {
-      std::vector<std::pair<TrajectoryId, double>> scored;
-      size_t candidates = 0;
-      bool complete = false;
-    };
-    std::vector<RoundOut> outs(relevant.size());
+  // Runs the sweep over visit positions [lo, hi) as one cluster stage, so
+  // makespan, faults and cancellation are accounted as for any stage. A
+  // task the stage did not keep counts as unfinished.
+  const auto run_stage = [&](size_t lo, size_t hi, const char* name) {
     std::vector<Cluster::Task> tasks;
-    tasks.reserve(relevant.size());
-    for (size_t idx = 0; idx < relevant.size(); ++idx) {
-      const uint32_t pid = relevant[idx];
-      const Partition* part = &partitions_[pid];
-      std::unordered_map<uint32_t, double>* part_memo = &memo[pid];
-      RoundOut* out = &outs[idx];
-      tasks.push_back({part->home_worker,
-                       [&, part, part_memo, out] {
-        TrieIndex::SearchSpec spec = MakeSpec(q, tau);
-        spec.ctx = ctx;
-        DpScratch& scratch = DpScratch::ThreadLocal();
-        std::vector<uint32_t>& candidates = scratch.Candidates();
-        candidates.clear();
-        part->trie.CollectCandidates(spec, &candidates);
-        const TrajView qv = scratch.ExtractB(q);
-        for (uint32_t pos : candidates) {
-          if (ctx != nullptr && ctx->stopped()) break;
-          if (sketch && !part->precomp[pos].sig.bits.Empty() &&
-              !part->precomp[pos].sig.bits.SubsetOf(dilated)) {
-            continue;
-          }
-          // Exact distance needed for ranking; WithinThreshold's boolean
-          // answer is not enough here. Memoized across expansion rounds.
-          double d;
-          const auto it = part_memo->find(pos);
-          if (it != part_memo->end()) {
-            d = it->second;
-          } else {
-            d = distance_->Compute(part->precomp[pos].soa.view(), qv, &scratch);
-            part_memo->emplace(pos, d);
-          }
-          if (d <= tau) {
-            out->scored.emplace_back(part->trie.trajectory(pos).id(), d);
-          }
-        }
-        out->candidates = candidates.size();
-        out->complete = ctx == nullptr || !ctx->stopped();
-        return Status::OK();
+    tasks.reserve(hi - lo);
+    for (size_t idx = lo; idx < hi; ++idx) {
+      const Partition& part = partitions_[plan.order[idx].second];
+      tasks.push_back({part.home_worker,
+                       [&sweep, idx] {
+                         sweep(idx);
+                         return Status::OK();
                        },
-                       part->data_bytes});
+                       part.data_bytes});
     }
-    probed += relevant.size();
     std::vector<uint8_t> kept;
-    const Status stage = cluster_->RunStage(
-        std::move(tasks), StageOpts("knn-search", ctx), &kept);
+    const Status stage =
+        cluster_->RunStage(std::move(tasks), StageOpts(name, ctx), &kept);
     if (ctx != nullptr) {
       ctx->ObserveVirtualSeconds(cluster_->MakespanSince(snap));
     }
     if (!stage.ok() && !ShouldDegrade(ctx, stage)) return stage;
-    bool round_complete = stage.ok();
-    for (size_t idx = 0; idx < relevant.size(); ++idx) {
-      if ((!kept.empty() && !kept[idx]) || !outs[idx].complete) {
-        round_complete = false;
-        continue;
-      }
-      total_candidates += outs[idx].candidates;
-      scored.insert(scored.end(), outs[idx].scored.begin(),
-                    outs[idx].scored.end());
+    for (size_t i = 0; i < kept.size(); ++i) {
+      if (kept[i] == 0) visits[lo + i].complete = false;
     }
-    // Snapshot before checking for a stop: a stop that fired *after* the
-    // whole round ran (e.g. the virtual deadline observed above) still
-    // leaves a fully enumerated round to fall back on.
-    if (round_complete) last_complete = scored;
-    if (ctx != nullptr && ctx->stopped()) {
-      stopped_early = true;
-      break;
-    }
-    if (round_complete && scored.size() >= k) break;
-    tau *= 2.0;
+    return Status::OK();
+  };
+
+  // Seed stage: the lowest-bound partitions holding k trajectories set a
+  // first k-th distance. Sweep stage: the partitions still relevant at it,
+  // whose tasks share the bound as it tightens. Partitions past that prefix
+  // are pruned outright — the bound only shrinks.
+  DITA_RETURN_IF_ERROR(run_stage(0, plan.seed, "knn-seed"));
+  const double seed_bound = top.Bound();
+  size_t end = plan.seed;
+  while (end < plan.order.size() && plan.order[end].first <= seed_bound) ++end;
+  for (size_t idx = end; idx < plan.order.size(); ++idx) {
+    visits[idx].complete = true;
   }
-  if (stopped_early) {
-    m_query_degraded_.Increment();
-    if (tracer_ != nullptr) tracer_->Instant("query.degraded");
-    scored = std::move(last_complete);
-  } else if (scored.size() < k) {
-    return Status::Internal("kNN expansion failed to find k results");
+  if (end > plan.seed && (ctx == nullptr || !ctx->stopped())) {
+    DITA_RETURN_IF_ERROR(run_stage(plan.seed, end, "knn-sweep"));
   }
 
-  std::sort(scored.begin(), scored.end(),
-            [](const auto& a, const auto& b) { return a.second < b.second; });
-  if (scored.size() > k) scored.resize(k);
+  // A stop leaves some partitions unswept; no trajectory in them is closer
+  // than their lower bound, so the answers strictly below the smallest such
+  // bound are a proven prefix of the full answer.
+  double unfinished = std::numeric_limits<double>::infinity();
+  size_t probed = 0;
+  size_t candidates = 0;
+  uint64_t probed_population = 0;
+  VerifyStats vstats;
+  for (size_t idx = 0; idx < visits.size(); ++idx) {
+    const Visit& v = visits[idx];
+    if (!v.complete) unfinished = std::min(unfinished, plan.order[idx].first);
+    if (!v.probed) continue;
+    ++probed;
+    probed_population += partitions_[plan.order[idx].second].trie.size();
+    candidates += v.candidates;
+    vstats.Merge(v.vstats);
+  }
+  std::vector<KnnNeighbor> scored = top.Sorted();
+  KnnKeepBelow(unfinished, &scored);
+  if (proven != nullptr) *proven = unfinished;
+  const bool stopped = ctx != nullptr && ctx->stopped();
+  if (stopped) {
+    m_query_degraded_.Increment();
+    if (tracer_ != nullptr) tracer_->Instant("query.degraded");
+  }
+
+  RecordFilterMetrics(probed, TrieIndex::ProbeStats{}, vstats);
+  h_query_candidates_.Observe(static_cast<double>(candidates));
+  knn_span.Arg("partitions_probed", probed);
+  knn_span.Arg("candidates", candidates);
+  knn_span.Arg("results", scored.size());
   if (stats != nullptr) {
     stats->makespan_seconds = cluster_->MakespanSince(snap);
     stats->partitions_probed = probed;
-    stats->candidates = total_candidates;
+    stats->candidates = candidates;
+    stats->verify = vstats;
     stats->results = scored.size();
     stats->faults = cluster_->FaultsSince(snap);
     stats->termination = ctx != nullptr ? ctx->ToStatus() : Status::OK();
-    stats->completeness =
-        stopped_early ? static_cast<double>(scored.size()) /
-                            static_cast<double>(k)
-                      : 1.0;
+    stats->completeness = stopped ? static_cast<double>(scored.size()) /
+                                        static_cast<double>(k)
+                                  : 1.0;
+    // kNN funnel: table -> swept partitions -> trie candidates at the
+    // bound -> threshold DPs run -> exact distances computed -> answers.
+    obs::FilterFunnel funnel;
+    funnel.AddLevel("table", index_stats_.num_trajectories);
+    funnel.AddLevel("partitions", probed_population);
+    funnel.AddLevel("trie candidates", candidates);
+    funnel.AddLevel("reached dp", vstats.dp_computed);
+    funnel.AddLevel("within bound", vstats.accepted);
+    funnel.AddLevel("results", scored.size());
+    stats->funnel = std::move(funnel);
   }
   return scored;
 }
@@ -1149,18 +1192,13 @@ Result<std::vector<DitaEngine::KnnJoinRow>> DitaEngine::KnnJoin(
     return Status::InvalidArgument("k exceeds the right table cardinality");
   }
 
-  // Per-left-trajectory threshold expansion against the right index. Left
-  // trajectories are visited partition by partition, reusing each query's
-  // previous radius as the seed for its partition neighbours (similar trips
-  // colocate, so radii are strongly correlated).
+  // One best-first kNN sweep per left trajectory against the right index.
   std::vector<KnnJoinRow> rows;
   for (const Partition& part : partitions_) {
-    double seed_tau = 0.0;
     for (uint32_t pos = 0; pos < part.trie.size(); ++pos) {
       const Trajectory& t = part.trie.trajectory(pos);
-      auto knn = right.KnnSearch(t, k, seed_tau);
+      auto knn = right.KnnSearch(t, k);
       DITA_RETURN_IF_ERROR(knn.status());
-      if (!knn->empty()) seed_tau = knn->back().second;
       for (const auto& [id, d] : *knn) {
         rows.push_back(KnnJoinRow{t.id(), id, d});
       }

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <span>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "core/admission.h"
 #include "core/config.h"
 #include "core/global_index.h"
+#include "core/knn.h"
 #include "core/verifier.h"
 #include "distance/distance.h"
 #include "index/trie_index.h"
@@ -109,10 +111,8 @@ struct QueryRequest {
   /// Similarity threshold tau (kSearch / kJoin).
   double tau = 0.0;
 
-  /// Neighbor count (kKnnSearch) and optional expansion seed radius
-  /// (0 picks a data-derived default).
+  /// Neighbor count (kKnnSearch).
   size_t k = 0;
-  double initial_tau = 0.0;
 
   /// kJoin: the right-side table. Exactly one may be set; both null means
   /// self-join. The service-level pointer lets DitaService join two live
@@ -149,7 +149,7 @@ struct QueryResult {
   std::vector<TrajectoryId> ids;
   /// kJoin: (left_id, right_id) pairs, sorted.
   std::vector<std::pair<TrajectoryId, TrajectoryId>> pairs;
-  /// kKnnSearch: (id, distance) pairs sorted by distance.
+  /// kKnnSearch: (id, distance) pairs in (distance, id) order (KnnBefore).
   std::vector<std::pair<TrajectoryId, double>> neighbors;
 
   QueryStats search_stats;  // kSearch / kKnnSearch
@@ -164,7 +164,8 @@ struct QueryResult {
     /// Delta-buffer trajectories linearly scanned / accepted.
     size_t delta_scanned = 0;
     size_t delta_matches = 0;
-    /// Base-index answers dropped because their id was deleted.
+    /// Base-index answers dropped because their id was deleted (search and
+    /// join; a kNN sweep passes deleted ids over inside the engine).
     size_t deleted_filtered = 0;
     /// Funnel over the delta scan: buffer -> MBR -> cell -> threshold DP
     /// (search only; monotone, ends at delta_matches).
@@ -176,6 +177,11 @@ struct QueryResult {
     obs::RequestRecord lifecycle;
   } serving;
 };
+
+/// The kNN request check shared by DitaEngine::Execute and DitaService:
+/// InvalidArgument unless the query has at least 2 points, every coordinate
+/// is finite, and k <= `table_size` (k == 0 passes; it asks for nothing).
+Status ValidateKnnRequest(const QueryRequest& req, size_t table_size);
 
 /// The DITA engine: one indexed trajectory table living on a (simulated)
 /// cluster. Mirrors the system of §3-§6: STR first/last partitioning, global
@@ -227,7 +233,9 @@ class DitaEngine {
   }
 
   /// Estimated cost of `req` in admission units (relevant-partition probes
-  /// for searches, partition-pair upper bound for joins; always >= 1).
+  /// for searches; for kNN the partitions its seed stage must visit, the
+  /// fewest lowest-bound partitions holding k trajectories; partition-pair
+  /// upper bound for joins; always >= 1).
   /// Drives the admission gate's cost budget and DitaService's fair-share
   /// slot allocation when QueryRequest::cost_hint is 0.
   uint64_t EstimateQueryCost(const QueryRequest& req) const;
@@ -257,17 +265,18 @@ class DitaEngine {
       QueryContext* ctx = nullptr) const;
 
   /// kNN similarity search (the paper's §8 future work): the k trajectories
-  /// closest to `q` under the engine's distance, as (id, distance) pairs
-  /// sorted by distance. Implemented by iterative threshold expansion over
-  /// the threshold search machinery: double tau until at least k verified
-  /// answers exist, then rank candidates by exact distance. Exact for
-  /// kAccumulate/kMax distances; `initial_tau` seeds the expansion (0 picks
-  /// a data-derived default). `ctx` behaves as in Search; a stopped kNN
-  /// query returns the last fully-completed expansion round's answers
-  /// (each one a true member of the kNN set), possibly fewer than k.
+  /// closest to `q` under the engine's distance, as (id, distance) pairs in
+  /// (distance, id) order. Exact for all five distances: one best-first
+  /// sweep visits partitions in ascending GlobalIndex::LowerBound order,
+  /// tests their trie candidates against a shared, shrinking k-th-distance
+  /// bound with the early-abandoning threshold kernels, and stops once the
+  /// next partition's bound exceeds the k-th distance (DESIGN.md §5i).
+  /// `ctx` behaves as in Search; a stopped kNN query returns a proven
+  /// prefix of the full answer — the neighbours below the smallest lower
+  /// bound of the work it did not finish — possibly fewer than k.
   Result<std::vector<std::pair<TrajectoryId, double>>> KnnSearch(
-      const Trajectory& q, size_t k, double initial_tau = 0.0,
-      QueryStats* stats = nullptr, QueryContext* ctx = nullptr) const;
+      const Trajectory& q, size_t k, QueryStats* stats = nullptr,
+      QueryContext* ctx = nullptr) const;
 
   /// One kNN-join result row: a left trajectory and one of its k nearest
   /// right trajectories.
@@ -280,9 +289,9 @@ class DitaEngine {
   };
 
   /// kNN similarity join (§8 future work): for every trajectory of this
-  /// table, its k nearest trajectories in `right`, via per-trajectory
-  /// threshold expansion against the right table's index. Rows are grouped
-  /// by left id (ascending), each group sorted by distance.
+  /// table, its k nearest trajectories in `right`, via one best-first kNN
+  /// sweep per left trajectory over the right table's index. Rows are
+  /// grouped by left id (ascending), each group in (distance, id) order.
   Result<std::vector<KnnJoinRow>> KnnJoin(const DitaEngine& right,
                                           size_t k) const;
 
@@ -347,11 +356,34 @@ class DitaEngine {
   Result<std::vector<std::pair<TrajectoryId, TrajectoryId>>> JoinImpl(
       const DitaEngine& right, double tau, JoinStats* stats,
       QueryContext* ctx) const;
+  /// The kNN sweep's visit plan: every partition's lower bound for the
+  /// query, ascending (ties by partition id), and `seed`, the length of the
+  /// shortest prefix holding at least k trajectories (at least 1).
+  struct KnnPlan {
+    std::vector<std::pair<double, uint32_t>> order;
+    size_t seed = 0;
+  };
+  KnnPlan PlanKnn(const Trajectory& q, size_t k) const;
+
+  /// The best-first kNN sweep. Ids in `skip` (DitaService passes its
+  /// snapshot's deleted set) are passed over inside the sweep, so they never
+  /// take a slot of the top k; fewer than k answers come back when fewer
+  /// than k live trajectories exist. `proven` (optional) receives the bound
+  /// below which the answer is final: +inf for a complete sweep, else the
+  /// smallest lower bound of the work a stop left unfinished (the returned
+  /// neighbours all lie below it).
   Result<std::vector<std::pair<TrajectoryId, double>>> KnnSearchImpl(
-      const Trajectory& q, size_t k, double initial_tau, QueryStats* stats,
-      QueryContext* ctx) const;
+      const Trajectory& q, size_t k, QueryStats* stats, QueryContext* ctx,
+      const std::unordered_set<TrajectoryId>* skip = nullptr,
+      double* proven = nullptr) const;
 
   TrieIndex::SearchSpec MakeSpec(const Trajectory& q, double tau) const;
+
+  /// GlobalIndex::LowerBound / RelevantPartitions under this engine's
+  /// distance (prune mode, matching epsilon, ERP gap point).
+  double PartitionLowerBound(const Trajectory& q, uint32_t partition) const;
+  std::vector<uint32_t> RelevantPartitions(const Trajectory& q,
+                                           double tau) const;
 
   /// Stage options carrying the engine's configured deadline and the
   /// query's stop token (may be null).

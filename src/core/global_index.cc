@@ -35,6 +35,36 @@ double MinDistAnyPoint(const Trajectory& q, const MBR& mbr) {
 
 }  // namespace
 
+double GlobalIndex::LowerBound(const Trajectory& q, uint32_t partition,
+                               PruneMode mode, double epsilon,
+                               const Point* erp_gap) const {
+  const PartitionSummary& s = partitions_[partition];
+  if (erp_gap != nullptr) {
+    const double df = std::min(MinDistAnyPoint(q, s.mbr_first),
+                               s.mbr_first.MinDist(*erp_gap));
+    const double dl = std::min(MinDistAnyPoint(q, s.mbr_last),
+                               s.mbr_last.MinDist(*erp_gap));
+    return df + dl;
+  }
+  switch (mode) {
+    case PruneMode::kAccumulate:
+      return s.mbr_first.MinDist(q.front()) + s.mbr_last.MinDist(q.back());
+    case PruneMode::kMax:
+      return std::max(s.mbr_first.MinDist(q.front()),
+                      s.mbr_last.MinDist(q.back()));
+    case PruneMode::kEditCount: {
+      // Endpoints may be edited away, so only alignment MBRs farther than
+      // epsilon from every query point are certain edits. The count is an
+      // integer: `edits <= tau` is the `edits <= floor(tau)` budget test.
+      double edits = 0.0;
+      if (MinDistAnyPoint(q, s.mbr_first) > epsilon) edits += 1.0;
+      if (MinDistAnyPoint(q, s.mbr_last) > epsilon) edits += 1.0;
+      return edits;
+    }
+  }
+  return 0.0;
+}
+
 std::vector<uint32_t> GlobalIndex::RelevantPartitions(const Trajectory& q,
                                                       double tau,
                                                       PruneMode mode,
@@ -42,35 +72,17 @@ std::vector<uint32_t> GlobalIndex::RelevantPartitions(const Trajectory& q,
                                                       const Point* erp_gap) const {
   std::vector<uint32_t> out;
   if (partitions_.empty() || q.empty()) return out;
-
-  if (erp_gap != nullptr) {
+  const auto relevant = [&](uint32_t i) {
+    return LowerBound(q, i, mode, epsilon, erp_gap) <= tau;
+  };
+  if (erp_gap != nullptr || mode == PruneMode::kEditCount) {
     for (uint32_t i = 0; i < partitions_.size(); ++i) {
-      const double df = std::min(MinDistAnyPoint(q, partitions_[i].mbr_first),
-                                 partitions_[i].mbr_first.MinDist(*erp_gap));
-      const double dl = std::min(MinDistAnyPoint(q, partitions_[i].mbr_last),
-                                 partitions_[i].mbr_last.MinDist(*erp_gap));
-      if (df + dl <= tau) out.push_back(i);
+      if (relevant(i)) out.push_back(i);
     }
     return out;
   }
-
-  if (mode == PruneMode::kEditCount) {
-    // Edit distances: endpoints of indexed trajectories may be edited away,
-    // so the aligned-endpoint argument does not apply. A partition needs at
-    // least one edit per alignment MBR that is farther than epsilon from
-    // every query point; prune when that already exceeds the budget.
-    const double budget = std::floor(tau);
-    for (uint32_t i = 0; i < partitions_.size(); ++i) {
-      double edits = 0.0;
-      if (MinDistAnyPoint(q, partitions_[i].mbr_first) > epsilon) edits += 1.0;
-      if (MinDistAnyPoint(q, partitions_[i].mbr_last) > epsilon) edits += 1.0;
-      if (edits <= budget) out.push_back(i);
-    }
-    return out;
-  }
-
   // Cf: partitions whose first-point MBR is within tau of q1; Cl: same for
-  // the last point. Intersect, then apply the combined test.
+  // the last point. Intersect, then apply the combined bound.
   std::vector<uint32_t> cf;
   std::vector<uint32_t> cl;
   first_tree_.SearchWithinDistance(q.front(), tau, &cf);
@@ -81,11 +93,7 @@ std::vector<uint32_t> GlobalIndex::RelevantPartitions(const Trajectory& q,
   std::set_intersection(cf.begin(), cf.end(), cl.begin(), cl.end(),
                         std::back_inserter(both));
   for (uint32_t i : both) {
-    const double df = partitions_[i].mbr_first.MinDist(q.front());
-    const double dl = partitions_[i].mbr_last.MinDist(q.back());
-    const bool keep =
-        mode == PruneMode::kAccumulate ? (df + dl <= tau) : (df <= tau && dl <= tau);
-    if (keep) out.push_back(i);
+    if (relevant(i)) out.push_back(i);
   }
   return out;
 }

@@ -24,16 +24,27 @@ class GlobalIndex {
 
   void Build(std::vector<PartitionSummary> partitions, size_t rtree_fanout = 16);
 
-  /// Relevant partitions for `q` under threshold `tau` (§5.2):
-  ///  - kAccumulate: MinDist(q1, MBR_f) + MinDist(qn, MBR_l) <= tau;
-  ///  - kMax: both MinDist values <= tau (Frechet keeps tau un-split);
-  ///  - kEditCount: a partition is pruned only when the number of alignment
-  ///    levels that cannot match within `epsilon` exceeds the edit budget;
-  ///    both checks use the minimum over every query point because edit
-  ///    distances may delete endpoints.
-  ///  - ERP (kAccumulate with `erp_gap` set): each alignment MBR contributes
-  ///    min over all query points and the gap point, since rows may be
-  ///    gap-matched.
+  /// Lower bound on f(T, q) over every trajectory T of `partition`, from
+  /// its first/last-point MBRs alone (§5.2):
+  ///  - kAccumulate: MinDist(q1, MBR_f) + MinDist(qn, MBR_l);
+  ///  - kMax: the larger of the two MinDist values (Frechet);
+  ///  - kEditCount: the number of alignment MBRs (0, 1 or 2) farther than
+  ///    `epsilon` from every query point — each costs at least one edit.
+  ///    Both use the minimum over all query points because edit distances
+  ///    may delete endpoints;
+  ///  - ERP (`erp_gap` set): each alignment MBR contributes the minimum over
+  ///    all query points and the gap point, since rows may be gap-matched;
+  ///    the two contributions add up.
+  /// The threshold probe (RelevantPartitions) and the best-first kNN sweep
+  /// (visit order, stop rule, proven prefix) both read this one bound.
+  double LowerBound(const Trajectory& q, uint32_t partition, PruneMode mode,
+                    double epsilon = 0.0, const Point* erp_gap = nullptr) const;
+
+  /// Relevant partitions for `q` under threshold `tau`: exactly those with
+  /// LowerBound(q, p, ...) <= tau, in ascending partition order. For
+  /// kAccumulate / kMax without a gap point the two R-trees narrow the
+  /// scan first (a partition within tau has both endpoint MinDists within
+  /// tau), and LowerBound decides.
   std::vector<uint32_t> RelevantPartitions(const Trajectory& q, double tau,
                                            PruneMode mode, double epsilon = 0.0,
                                            const Point* erp_gap = nullptr) const;

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <limits>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <unordered_set>
 #include <utility>
@@ -69,7 +70,6 @@ AnswerCache::Key AnswerCache::KeyFor(const QueryRequest& req) {
   fold(static_cast<uint64_t>(req.kind));
   fold(DoubleBits(req.tau));
   fold(req.k);
-  fold(DoubleBits(req.initial_tau));
   fold(req.collect_stats ? 1 : 0);
   fold(req.query.size());
   for (const Point& p : req.query.points()) {
@@ -1244,54 +1244,51 @@ Result<QueryResult> DitaService::KnnSnapshot(const TableSnapshot& snap,
                                              PhaseSplit* split) const {
   QueryResult res;
   res.kind = QueryKind::kKnnSearch;
-  if (req.query.size() < 2) {
-    return Status::InvalidArgument("query needs at least 2 points");
-  }
+  DITA_RETURN_IF_ERROR(ValidateKnnRequest(req, snap.live_size()));
   if (req.k == 0) return res;
-  if (req.k > snap.live_size()) {
-    return Status::InvalidArgument("k exceeds the table cardinality");
-  }
-  std::vector<std::pair<TrajectoryId, double>> scored;
+  KnnTopK top(req.k);
+  double proven = std::numeric_limits<double>::infinity();
   if (snap.base != nullptr) {
-    // Deleted ids may occupy up to |deleted| of the base's top slots, so
-    // over-fetch by that much; the top-k *live* base answers are then
-    // guaranteed to be present.
-    const size_t kbase =
-        std::min(snap.base_size(), req.k + snap.deleted.size());
-    QueryRequest base_req = req;
-    base_req.k = kbase;
-    base_req.join_right = nullptr;
-    base_req.join_right_service = nullptr;
-    auto r = snap.base->Execute(base_req);
+    // The engine's sweep passes over deleted base ids itself, so the base
+    // returns its k best *live* answers directly.
+    auto r = snap.base->KnnSearchImpl(
+        req.query, req.k, req.collect_stats ? &res.search_stats : nullptr,
+        req.ctx, &snap.deleted, &proven);
     DITA_RETURN_IF_ERROR(r.status());
-    res.search_stats = std::move(r->search_stats);
-    for (const auto& [id, d] : r->neighbors) {
-      if (snap.deleted.count(id) > 0) {
-        ++res.serving.deleted_filtered;
-      } else {
-        scored.emplace_back(id, d);
-      }
-    }
+    for (const auto& [id, d] : *r) top.Offer(id, d);
   }
   if (split != nullptr) split->base_done_seconds = NowSeconds();
-  // Delta trajectories are scored with the same DP kernel the engine uses,
-  // so merged distances are bit-comparable with the base's.
+  // Delta inserts join the same bounded top k: the threshold kernel at the
+  // current k-th distance rejects most of them, and only the survivors pay
+  // for the exact distance — the same kernel and argument order as the
+  // engine's, so merged distances are bit-comparable with the base's.
   for (const Trajectory& t : snap.inserts) {
     ++res.serving.delta_scanned;
-    scored.emplace_back(t.id(), distance_->Compute(t, req.query));
+    const double bound = top.Bound();
+    if (!std::isinf(bound) &&
+        !distance_->WithinThreshold(t, req.query, bound)) {
+      continue;
+    }
+    top.Offer(t.id(), distance_->Compute(t, req.query));
   }
   if (split != nullptr) split->delta_done_seconds = NowSeconds();
-  std::sort(scored.begin(), scored.end(),
-            [](const auto& a, const auto& b) { return a.second < b.second; });
-  if (scored.size() > req.k) scored.resize(req.k);
+  std::vector<KnnNeighbor> scored = top.Sorted();
+  // A stopped base sweep proved its answers only below `proven`; past it an
+  // unswept base trajectory could still precede a delta answer.
+  KnnKeepBelow(proven, &scored);
   for (const auto& [id, d] : scored) {
     (void)d;
-    if (snap.base_ids == nullptr || snap.base_ids->count(id) == 0) {
-      ++res.serving.delta_matches;
-    }
+    if (!snap.InBase(id)) ++res.serving.delta_matches;
   }
   res.neighbors = std::move(scored);
-  if (req.collect_stats) res.search_stats.results = res.neighbors.size();
+  if (req.collect_stats) {
+    res.search_stats.results = res.neighbors.size();
+    if (req.ctx != nullptr && req.ctx->stopped()) {
+      res.search_stats.completeness =
+          static_cast<double>(res.neighbors.size()) /
+          static_cast<double>(req.k);
+    }
+  }
   return res;
 }
 

@@ -24,7 +24,7 @@ namespace dita {
 
 /// Version-tagged LRU cache for the serving read path (DESIGN.md §5g).
 /// Keys are a 128-bit content digest of the request — query points, the tau
-/// / k / initial_tau bit patterns, the query kind, and the stats flag — so
+/// / k bit patterns, the query kind, and the stats flag — so
 /// a hit is byte-for-byte the answer the engine would recompute. (The
 /// digest is a conservative refinement of the minhash sketch key: sketch
 /// canonicalization would alias distinct queries and force re-verification

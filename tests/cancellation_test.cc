@@ -204,7 +204,8 @@ TEST_F(CancellationTest, VirtualDeadlineIsDeterministic) {
 }
 
 /// kNN under cancellation: the partial answer is a true prefix of the full
-/// kNN set (the last fully-completed expansion round), completeness = found/k.
+/// kNN set (the answers below the smallest unswept partition bound),
+/// completeness = found/k.
 TEST_F(CancellationTest, KnnPartialIsPrefixOfFullAnswer) {
   const size_t k = 8;
   const auto full = engine_->KnnSearch(ds_[11], k);
@@ -215,7 +216,7 @@ TEST_F(CancellationTest, KnnPartialIsPrefixOfFullAnswer) {
     QueryContext ctx;
     ctx.CancelAfterOps(cancel_at);
     DitaEngine::QueryStats stats;
-    const auto r = engine_->KnnSearch(ds_[11], k, 0.0, &stats, &ctx);
+    const auto r = engine_->KnnSearch(ds_[11], k, &stats, &ctx);
     ASSERT_TRUE(r.ok()) << "cancel_at=" << cancel_at;
     if (!ctx.stopped()) {
       EXPECT_EQ(*r, *full);

@@ -188,7 +188,7 @@ std::string RunSerialSoak(const Dataset& ds, const Oracles& oracles,
       case 1: {
         DitaEngine::QueryStats stats;
         auto r =
-            engine.KnnSearch(ds[ProbeIndex(probe)], kKnnK, 0.0, &stats, &ctx);
+            engine.KnnSearch(ds[ProbeIndex(probe)], kKnnK, &stats, &ctx);
         EXPECT_TRUE(r.ok()) << r.status().ToString();
         if (!r.ok()) return transcript.str();
         if (ctx.stopped()) {

@@ -94,7 +94,7 @@ TEST(FaultToleranceTest, SearchAndJoinInvariantUnderFaults) {
 
     for (size_t qi = 0; qi < 3; ++qi) {
       DitaEngine::QueryStats qstats;
-      auto r = engine.KnnSearch(ds[qi * 17], k, 0.0, &qstats);
+      auto r = engine.KnnSearch(ds[qi * 17], k, &qstats);
       ASSERT_TRUE(r.ok()) << "seed=" << seed << ": " << r.status().ToString();
       EXPECT_EQ(*r, clean_knn[qi]) << "seed=" << seed << " query=" << qi;
     }
