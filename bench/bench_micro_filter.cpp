@@ -21,11 +21,9 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "core/engine.h"
 #include "core/partitioner.h"
 #include "index/cell.h"
 #include "index/rtree.h"
-#include "index/signature.h"
 #include "index/trie_index.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -203,60 +201,14 @@ void WriteFilterJson(const char* path) {
   json += "  },\n";
 
   // --- Trie candidate-collection throughput, queries/sec (headline). ---
-  double single_qps = 0.0;
   {
     const double ns = collect_ns(PruneMode::kAccumulate, 0.01, 0.0);
-    single_qps = 1e9 / ns;
+    const double single_qps = 1e9 / ns;
     std::snprintf(buf, sizeof(buf),
                   "  \"trie_collect_queries_per_sec\": %.0f,\n", single_qps);
     json += buf;
     std::printf("trie throughput (accumulate, tau=0.01) %12.0f queries/sec\n",
                 single_qps);
-  }
-
-  // --- Batched candidate collection (DESIGN.md §5f): the same 64 queries
-  // pushed through CollectCandidatesBatch in groups, sharing one traversal
-  // per group. batch_1 exercises the batch entry point's single-query
-  // delegation; the larger sizes show the shared-traversal gain. Candidate
-  // sets are bit-identical to the single path (batch_filter_test).
-  {
-    std::vector<std::vector<uint32_t>> outs(num_queries);
-    auto batch_qps = [&](size_t batch) {
-      const double ns_per_round = NsPerCall([&] {
-        for (size_t lo = 0; lo < num_queries; lo += batch) {
-          const size_t hi = std::min(lo + batch, num_queries);
-          std::vector<TrieIndex::BatchQuery> bq(hi - lo);
-          for (size_t i = lo; i < hi; ++i) {
-            bq[i - lo].spec.query = queries[i];
-            bq[i - lo].spec.tau = 0.01;
-            bq[i - lo].spec.mode = PruneMode::kAccumulate;
-            outs[i].clear();
-            bq[i - lo].out = &outs[i];
-          }
-          trie.CollectCandidatesBatch(bq.data(), bq.size());
-        }
-        benchmark::DoNotOptimize(outs[0].size());
-      });
-      return 1e9 / (ns_per_round / static_cast<double>(num_queries));
-    };
-    json += "  \"trie_collect_batch_queries_per_sec\": {";
-    const size_t sizes[] = {1, 2, 8, 32, 64};
-    double qps32 = 0.0;
-    for (size_t i = 0; i < 5; ++i) {
-      const double qps = batch_qps(sizes[i]);
-      if (sizes[i] == 32) qps32 = qps;
-      std::snprintf(buf, sizeof(buf), "\"batch_%zu\": %.0f%s", sizes[i], qps,
-                    i + 1 < 5 ? ", " : "");
-      json += buf;
-      std::printf("trie batch=%-3zu (accumulate, tau=0.01) %12.0f queries/sec\n",
-                  sizes[i], qps);
-    }
-    json += "},\n";
-    std::snprintf(buf, sizeof(buf), "  \"speedup_batch_32\": %.2f,\n",
-                  qps32 / single_qps);
-    json += buf;
-    std::printf("batch=32 speedup over single-query path %11.2fx\n",
-                qps32 / single_qps);
   }
 
   // --- Global R-tree probe, ns/query. ---
@@ -407,116 +359,13 @@ void WriteFilterJson(const char* path) {
     std::snprintf(buf, sizeof(buf), "    \"frechet_abandon_speedup\": %.2f\n",
                   fr_full / fr_ab);
     json += buf;
-    json += "  },\n";
+    json += "  }\n";
     std::printf("cell bound dtw     %8.1f -> %8.1f ns/pair (%.2fx)\n",
                 dtw_full, dtw_ab, dtw_full / dtw_ab);
     std::printf("cell bound frechet %8.1f -> %8.1f ns/pair (%.2fx)\n",
                 fr_full, fr_ab, fr_full / fr_ab);
   }
 
-  // --- Sketch prefilter A/B (DESIGN.md §5g). ---
-  // Two engines over the same 4096 trajectories, identical except for
-  // VerifyOptions::enable_sketch; the same 64 dataset queries run through
-  // both. `wrong_answers` counts any result-set divergence and must be 0
-  // (the signature test is provably exact); the prune fractions read the
-  // sketch-on funnel's "sketch partitions" and "sketch signature" levels.
-  {
-    auto make_engine = [&](bool sketch) {
-      ClusterConfig ccfg;
-      ccfg.num_workers = 4;
-      DitaConfig config;
-      config.verify.enable_sketch = sketch;
-      auto eng = std::make_unique<DitaEngine>(
-          std::make_shared<Cluster>(ccfg), config);
-      if (!eng->BuildIndex(ds).ok()) eng.reset();
-      return eng;
-    };
-    auto off = make_engine(false);
-    auto on = make_engine(true);
-    if (off == nullptr || on == nullptr) {
-      std::fprintf(stderr, "engine build failed\n");
-      return;
-    }
-    auto funnel_level = [](const QueryStats& s, const char* label) {
-      for (const auto& l : s.funnel.levels) {
-        if (l.label == label) return static_cast<double>(l.survivors);
-      }
-      return -1.0;
-    };
-    const std::pair<const char*, double> sketch_taus[] = {
-        {"tau_tight", 0.003}, {"tau_mid", 0.01}, {"tau_wide", 0.05}};
-    size_t wrong = 0;
-    double part_frac[3] = {0, 0, 0};
-    double cand_frac[3] = {0, 0, 0};
-    for (size_t ti = 0; ti < 3; ++ti) {
-      double before_part = 0, after_part = 0, before_cand = 0, after_cand = 0;
-      for (const Trajectory* q : queries) {
-        QueryStats stats;
-        auto want = off->Search(*q, sketch_taus[ti].second);
-        auto got = on->Search(*q, sketch_taus[ti].second, &stats);
-        if (!want.ok() || !got.ok() || *want != *got) ++wrong;
-        before_part += std::max(0.0, funnel_level(stats, "global index"));
-        after_part += std::max(0.0, funnel_level(stats, "sketch partitions"));
-        before_cand += std::max(0.0, funnel_level(stats, "candidates"));
-        after_cand += std::max(0.0, funnel_level(stats, "sketch signature"));
-      }
-      part_frac[ti] =
-          before_part > 0 ? 1.0 - after_part / before_part : 0.0;
-      cand_frac[ti] =
-          before_cand > 0 ? 1.0 - after_cand / before_cand : 0.0;
-    }
-    // QPS at tau_wide: the regime where the candidate list is large and
-    // verification dominates, so the level-0 prune has real work to save.
-    // Best of 3 alternating windows per engine to shed scheduler noise —
-    // single windows on a loaded machine swing ±10%, which would drown the
-    // effect being measured.
-    auto engine_qps = [&](const DitaEngine& eng) {
-      const double ns = NsPerCall([&] {
-        for (const Trajectory* q : queries) {
-          auto r = eng.Search(*q, 0.05);
-          benchmark::DoNotOptimize(r.ok());
-        }
-      });
-      return 1e9 / (ns / static_cast<double>(num_queries));
-    };
-    double off_qps = 0.0, on_qps = 0.0;
-    for (int rep = 0; rep < 3; ++rep) {
-      off_qps = std::max(off_qps, engine_qps(*off));
-      on_qps = std::max(on_qps, engine_qps(*on));
-    }
-    json += "  \"sketch\": {\n";
-    std::snprintf(buf, sizeof(buf),
-                  "    \"search_qps\": {\"off\": %.0f, \"on\": %.0f},\n",
-                  off_qps, on_qps);
-    json += buf;
-    std::snprintf(buf, sizeof(buf), "    \"speedup\": %.2f,\n",
-                  on_qps / off_qps);
-    json += buf;
-    json += "    \"prune_fraction_partitions\": {";
-    for (size_t ti = 0; ti < 3; ++ti) {
-      std::snprintf(buf, sizeof(buf), "\"%s\": %.3f%s", sketch_taus[ti].first,
-                    part_frac[ti], ti + 1 < 3 ? ", " : "");
-      json += buf;
-    }
-    json += "},\n";
-    json += "    \"prune_fraction_candidates\": {";
-    for (size_t ti = 0; ti < 3; ++ti) {
-      std::snprintf(buf, sizeof(buf), "\"%s\": %.3f%s", sketch_taus[ti].first,
-                    cand_frac[ti], ti + 1 < 3 ? ", " : "");
-      json += buf;
-    }
-    json += "},\n";
-    std::snprintf(buf, sizeof(buf), "    \"wrong_answers\": %zu\n", wrong);
-    json += buf;
-    json += "  }\n";
-    std::printf("sketch search  off %.0f qps, on %.0f qps (%.2fx)\n", off_qps,
-                on_qps, on_qps / off_qps);
-    std::printf(
-        "sketch prune   partitions %.1f%%/%.1f%%/%.1f%%  candidates "
-        "%.1f%%/%.1f%%/%.1f%%  wrong=%zu\n",
-        100 * part_frac[0], 100 * part_frac[1], 100 * part_frac[2],
-        100 * cand_frac[0], 100 * cand_frac[1], 100 * cand_frac[2], wrong);
-  }
   json += "}\n";
 
   FILE* f = std::fopen(path, "w");

@@ -106,94 +106,6 @@ struct RunResult {
   std::string flight_json;  // DumpFlightRecorder() of the loaded service
 };
 
-/// Micro-batching A/B over the Submit path: the same saturating burst
-/// workload of coalescible searches against two otherwise-identical
-/// services, one with coalescing disabled (max_batch_size = 1) and one
-/// batching up to 16 queued requests per executor drain. Every answer is
-/// checked against per-probe ground truth captured via Execute, so the
-/// reported gain is for bit-identical results.
-struct BatchingResult {
-  double off_qps = 0.0;
-  double on_qps = 0.0;
-  double gain = 0.0;
-  uint64_t batches = 0;
-  double avg_batch = 0.0;
-  size_t wrong_answers = 0;
-};
-
-BatchingResult RunBatching(const bench::Args& args) {
-  BatchingResult out;
-  const size_t base_n = static_cast<size_t>(1200 * args.scale);
-  const Dataset base = Region(base_n, 47, 0.0, 1.0);
-  const double tau = 0.003;
-  const double window_s = args.quick ? 0.3 : 1.5;
-  constexpr size_t kProbes = 16;
-  constexpr size_t kBurst = 64;
-
-  auto run_mode = [&](size_t max_batch, uint64_t* batches, double* avg_batch,
-                      size_t* wrong) -> double {
-    DitaConfig config = bench::DefaultConfig();
-    config.serving.scheduler_threads = 2;
-    config.serving.max_batch_size = max_batch;
-    auto cluster = bench::MakeCluster(args.workers);
-    DitaService service(cluster, config);
-    DITA_CHECK(service.Start(base).ok());
-
-    std::vector<const Trajectory*> probes;
-    std::vector<std::vector<TrajectoryId>> expect(kProbes);
-    for (size_t i = 0; i < kProbes; ++i) {
-      probes.push_back(&base[(i * 193) % base.size()]);
-      QueryRequest req;
-      req.kind = QueryKind::kSearch;
-      req.query = *probes[i];
-      req.tau = tau;
-      auto r = service.Execute(req);
-      DITA_CHECK(r.ok());
-      expect[i] = r->ids;
-    }
-
-    // Closed-loop saturating bursts: enqueue kBurst compatible searches,
-    // then drain. The backlog is what gives the coalescing executor
-    // something to batch; the off-mode run pays the same enqueue pattern.
-    size_t done = 0;
-    std::mt19937_64 rng(1234);
-    WallTimer timer;
-    while (timer.Seconds() < window_s) {
-      std::vector<std::future<Result<QueryResult>>> futs;
-      futs.reserve(kBurst);
-      std::vector<size_t> pis(kBurst);
-      for (size_t i = 0; i < kBurst; ++i) {
-        pis[i] = size_t(rng()) % kProbes;
-        QueryRequest req;
-        req.kind = QueryKind::kSearch;
-        req.query = *probes[pis[i]];
-        req.tau = tau;
-        futs.push_back(service.Submit(std::move(req)));
-      }
-      for (size_t i = 0; i < kBurst; ++i) {
-        auto r = futs[i].get();
-        ++done;
-        if (!r.ok() || r->ids != expect[pis[i]]) ++*wrong;
-      }
-    }
-    const double qps = double(done) / timer.Seconds();
-    *batches = service.coalesced_batches();
-    *avg_batch = service.coalesced_batches() > 0
-                     ? double(service.coalesced_queries()) /
-                           double(service.coalesced_batches())
-                     : 0.0;
-    service.Stop();
-    return qps;
-  };
-
-  uint64_t off_batches = 0;
-  double off_avg = 0.0;
-  out.off_qps = run_mode(1, &off_batches, &off_avg, &out.wrong_answers);
-  out.on_qps = run_mode(16, &out.batches, &out.avg_batch, &out.wrong_answers);
-  out.gain = out.off_qps > 0.0 ? out.on_qps / out.off_qps : 0.0;
-  return out;
-}
-
 /// Answer-cache A/B (DESIGN.md §5g): the same skewed repeating read
 /// workload — 80% of traffic on 4 hot probes, the rest on a 12-probe warm
 /// set — against two otherwise-identical services, one with the answer
@@ -592,8 +504,7 @@ std::string HistJson(const char* kind, const HistQuantilesMs& q) {
 }
 
 void WriteJson(const char* path, const bench::Args& args, const RunResult& r,
-               const BatchingResult& b, const CacheResult& c,
-               const ObsOverheadResult& o) {
+               const CacheResult& c, const ObsOverheadResult& o) {
   std::string json = "{\n";
   json += "  \"meta\": " + bench::MetaJson() + ",\n";
   json += "  \"latency_hist\": {" + HistJson("search", r.hist_search) + ", " +
@@ -625,9 +536,6 @@ void WriteJson(const char* path, const bench::Args& args, const RunResult& r,
       "  \"bulk_join\": {\"seconds\": %.3f, \"pairs\": %zu, "
       "\"matches_batch_oracle\": %s},\n"
       "  \"scheduler\": {\"bypasses\": %llu, \"shed\": %llu},\n"
-      "  \"batching\": {\"off_qps\": %.1f, \"on_qps\": %.1f, "
-      "\"gain\": %.2f, \"batches\": %llu, \"avg_batch\": %.2f, "
-      "\"wrong_answers\": %zu},\n"
       "  \"cache\": {\"off_qps\": %.1f, \"on_qps\": %.1f, \"gain\": %.2f, "
       "\"hits\": %llu, \"misses\": %llu, \"invalidations\": %llu, "
       "\"wrong_answers\": %zu},\n"
@@ -638,9 +546,8 @@ void WriteJson(const char* path, const bench::Args& args, const RunResult& r,
       static_cast<unsigned long long>(r.final_epoch), r.join_seconds,
       r.join_pairs, r.join_matches_oracle ? "true" : "false",
       static_cast<unsigned long long>(r.scheduler_bypasses),
-      static_cast<unsigned long long>(r.scheduler_shed), b.off_qps, b.on_qps,
-      b.gain, static_cast<unsigned long long>(b.batches), b.avg_batch,
-      b.wrong_answers, c.off_qps, c.on_qps, c.gain,
+      static_cast<unsigned long long>(r.scheduler_shed), c.off_qps, c.on_qps,
+      c.gain,
       static_cast<unsigned long long>(c.hits),
       static_cast<unsigned long long>(c.misses),
       static_cast<unsigned long long>(c.invalidations), c.wrong_answers,
@@ -693,13 +600,6 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(r.merges),
       static_cast<unsigned long long>(r.final_epoch), r.join_seconds,
       r.join_pairs, r.join_matches_oracle ? "yes" : "NO", r.wrong_answers);
-  const auto b = dita::RunBatching(args);
-  std::printf(
-      "batching: off=%.1f qps on=%.1f qps gain=%.2fx | batches=%llu "
-      "avg_batch=%.2f wrong=%zu\n",
-      b.off_qps, b.on_qps, b.gain,
-      static_cast<unsigned long long>(b.batches), b.avg_batch,
-      b.wrong_answers);
   const auto c = dita::RunCache(args);
   std::printf(
       "cache:    off=%.1f qps on=%.1f qps gain=%.2fx | hits=%llu misses=%llu "
@@ -721,11 +621,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(r.degraded));
   const std::string out_path =
       args.out.empty() ? "BENCH_serving.json" : args.out;
-  dita::WriteJson(out_path.c_str(), args, r, b, c, o);
+  dita::WriteJson(out_path.c_str(), args, r, c, o);
   dita::WriteFlightJson(out_path, r);
-  return r.wrong_answers + b.wrong_answers + c.wrong_answers +
-                     o.wrong_answers ==
-                 0
-             ? 0
-             : 1;
+  return r.wrong_answers + c.wrong_answers + o.wrong_answers == 0 ? 0 : 1;
 }

@@ -54,7 +54,7 @@ native_filter='Oracle|ThresholdEdge|DpScratch|Dtw|Frechet|Edr|Lcss|Erp|Distance|
 # (FlatTrie/FlatStrTile), batched parallel verification, and the cluster
 # runtime's threaded stages, including the kNN sweep's shared k-th bound
 # (KnnOracleThreaded runs its partition tasks on four threads).
-tsan_filter='ThreadPool|FlatTrie|FlatRTree|FlatStrTile|StrTile|Verif|Cluster|Engine|FaultTolerance|Partition|Obs|Logging|FlightRecorder|Cancellation|AdmissionGate|ChaosSoak|Serving|QueryScheduler|DitaService|BatchFilter|BatchExecute|Sketch|AnswerCache|KnnOracle'
+tsan_filter='ThreadPool|FlatTrie|FlatRTree|FlatStrTile|StrTile|Verif|Cluster|Engine|FaultTolerance|Partition|Obs|Logging|FlightRecorder|Cancellation|AdmissionGate|ChaosSoak|Serving|QueryScheduler|DitaService|AnswerCache|KnnOracle'
 
 # The chaos pass: the seeded chaos/soak harness (fault injection + random
 # mid-flight cancellation + tight budgets + the admission gate) plus the
@@ -79,7 +79,7 @@ obs_filter='Obs|Funnel|Logging|FlightRecorder|obs_demo_schema'
 # background epoch merges + sync/async queries racing) — plain first, then
 # under TSan so snapshot pinning, the merge thread, and the executor pool
 # are race-checked.
-serving_filter='Serving|QueryScheduler|AdmissionGateCost|ExecuteAlias|DitaService|DataFrame|BatchExecute|AnswerCache|Sketch'
+serving_filter='Serving|QueryScheduler|AdmissionGateCost|ExecuteAlias|DitaService|DataFrame|AnswerCache'
 
 case "${mode}" in
   plain)    run_pass build ;;
@@ -106,8 +106,9 @@ case "${mode}" in
             run_pass build-tsan "--filter=${serving_filter}" \
                      -DDITA_SANITIZE=thread ;;
   # The bench-smoke pass runs the two benches whose JSON the repo commits
-  # (micro-filter: the batched-traversal speedup sweep; serving: the
-  # open-loop runtime + Submit-coalescing A/B) in --quick mode, then
+  # (micro-filter: trie collect / R-tree probe / build / cell-bound timings;
+  # serving: the open-loop runtime + answer-cache and observability A/Bs)
+  # in --quick mode, then
   # validates structure and tolerance-diffs throughput vs the committed
   # baselines. Quick mode shrinks measurement windows ~10x, so the gate is
   # loose (see tools/check_bench_json.py) — it catches emitter bit-rot and

@@ -61,71 +61,59 @@ obs::MetricsRegistry* Cluster::EnableMetrics() {
   return metrics_.get();
 }
 
+Status Cluster::RunTaskBody(const Task& task, size_t index,
+                            obs::Tracer* tracer, TaskRun* run) {
+  // Nested spans opened by the task body (verification, candidate
+  // collection) land on the owning worker's lane.
+  obs::Tracer::ScopedLane lane(obs::WorkerLane(task.worker));
+  obs::SpanGuard span(tracer, "task");
+  span.Arg("task", index);
+  span.Arg("worker", task.worker);
+  CpuTimer timer;
+  t_task_offloaded_seconds = 0.0;
+  Status thrown;
+  try {
+    run->status = task.fn();
+  } catch (const std::exception& e) {
+    thrown = Status::Internal(std::string("task threw: ") + e.what());
+  } catch (...) {
+    thrown = Status::Internal("task threw");
+  }
+  run->seconds = timer.Seconds() + t_task_offloaded_seconds;
+  return thrown;
+}
+
 Status Cluster::ExecuteTasks(std::vector<Task>* tasks, QueryContext* ctx,
                              std::vector<TaskRun>* runs) {
   runs->resize(tasks->size());
   const size_t threads =
       config_.execution_threads == 0 ? 1 : config_.execution_threads;
   obs::Tracer* tracer = tracer_.get();
+  // One slot per task, written only by the thread running that task; the
+  // first failure in task order is the stage's error on both paths.
+  std::vector<Status> thrown(tasks->size());
+  const auto run_one = [&](size_t i) {
+    if (ctx != nullptr && ctx->stopped()) {
+      // The query stopped before this task started; skip the body. The
+      // accounting pass charges nothing for skipped tasks, so the stop
+      // point also bounds the query's virtual cost.
+      (*runs)[i].skipped = true;
+      return;
+    }
+    thrown[i] = RunTaskBody((*tasks)[i], i, tracer, &(*runs)[i]);
+  };
   if (threads == 1) {
     // Fast path: run inline, no pool overhead.
-    Status first_error;
+    for (size_t i = 0; i < tasks->size(); ++i) run_one(i);
+  } else {
+    ThreadPool pool(threads);
     for (size_t i = 0; i < tasks->size(); ++i) {
-      if (ctx != nullptr && ctx->stopped()) {
-        // The query stopped before this task started; skip the body. The
-        // accounting pass charges nothing for skipped tasks, so the stop
-        // point also bounds the query's virtual cost.
-        (*runs)[i].skipped = true;
-        continue;
-      }
-      // Nested spans opened by the task body (verification, candidate
-      // collection) land on the owning worker's lane.
-      obs::Tracer::ScopedLane lane(obs::WorkerLane((*tasks)[i].worker));
-      obs::SpanGuard span(tracer, "task");
-      span.Arg("task", i);
-      span.Arg("worker", (*tasks)[i].worker);
-      CpuTimer timer;
-      t_task_offloaded_seconds = 0.0;
-      try {
-        (*runs)[i].status = (*tasks)[i].fn();
-      } catch (const std::exception& e) {
-        if (first_error.ok()) {
-          first_error = Status::Internal(std::string("task threw: ") + e.what());
-        }
-      } catch (...) {
-        if (first_error.ok()) first_error = Status::Internal("task threw");
-      }
-      (*runs)[i].seconds = timer.Seconds() + t_task_offloaded_seconds;
+      pool.Submit([&run_one, i] { run_one(i); });
     }
-    return first_error;
-  }
-  ThreadPool pool(threads);
-  for (size_t i = 0; i < tasks->size(); ++i) {
-    Task* t = &(*tasks)[i];
-    TaskRun* run = &(*runs)[i];
-    pool.Submit([t, run, tracer, ctx, i] {
-      if (ctx != nullptr && ctx->stopped()) {
-        run->skipped = true;
-        return;
-      }
-      obs::Tracer::ScopedLane lane(obs::WorkerLane(t->worker));
-      obs::SpanGuard span(tracer, "task");
-      span.Arg("task", i);
-      span.Arg("worker", t->worker);
-      CpuTimer timer;
-      t_task_offloaded_seconds = 0.0;
-      run->status = t->fn();
-      run->seconds = timer.Seconds() + t_task_offloaded_seconds;
-    });
-  }
-  // A throwing task surfaces here (ThreadPool captures it) instead of
-  // terminating the worker thread.
-  try {
     pool.Wait();
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("task threw: ") + e.what());
-  } catch (...) {
-    return Status::Internal("task threw");
+  }
+  for (const Status& s : thrown) {
+    if (!s.ok()) return s;
   }
   return Status::OK();
 }

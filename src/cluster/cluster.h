@@ -286,6 +286,13 @@ class Cluster {
   Status ExecuteTasks(std::vector<Task>* tasks, QueryContext* ctx,
                       std::vector<TaskRun>* runs);
 
+  /// Runs one task body on the calling thread, on the owning worker's trace
+  /// lane, recording its measured seconds and returned status in `run`. A
+  /// throwing body is caught here and returned as Internal, so no exception
+  /// crosses threads on the pooled path.
+  static Status RunTaskBody(const Task& task, size_t index,
+                            obs::Tracer* tracer, TaskRun* run);
+
   /// Least-loaded live worker (ties broken by lowest id), excluding
   /// `exclude` (pass num_workers to exclude nobody). Returns num_workers if
   /// no live worker qualifies. Caller holds mu_.

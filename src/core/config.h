@@ -66,14 +66,6 @@ struct DitaConfig {
     /// off).
     bool enable_mbr = true;
     bool enable_cell = true;
-
-    /// Level-0 sketch prefilter (DESIGN.md §5g): per-trajectory grid-cell
-    /// bitset signatures, tested (a) per partition aggregate in front of
-    /// the trie traversal and (b) per candidate in front of the MBR/cell
-    /// filters. Exact — the dilated-signature test is a necessary
-    /// condition for DTW/Frechet matches; edit distances bypass it, like
-    /// the other geometric filters.
-    bool enable_sketch = true;
   };
 
   /// Long-lived serving runtime knobs: admission control on the engine's
@@ -127,25 +119,14 @@ struct DitaConfig {
     /// false runs them on DitaService's background merge thread.
     bool synchronous_merge = false;
 
-    /// Micro-batching of Submit()ed queries (DESIGN.md §5f): an executor
-    /// draining the queue coalesces up to this many *compatible* queued
-    /// requests (threshold searches with no join target — same metric and
-    /// snapshot by construction) into one DitaService::ExecuteBatch call,
-    /// sharing the trie traversal and verify sweeps. 1 disables coalescing.
-    /// Answers are bit-identical either way.
-    size_t max_batch_size = 1;
-
-    /// With coalescing enabled, how long an executor may linger for more
-    /// compatible work after picking up the first request of a batch. 0
-    /// coalesces only what is already queued (no added latency).
-    double batch_window_seconds = 0.0;
-
-    /// DitaService answer cache (DESIGN.md §5g): LRU entries keyed by the
-    /// canonicalized query (content digest + minhash sketch, tau, metric,
-    /// kind, k), serving repeat queries without touching the scheduler or
-    /// the index. Entries are version-tagged and the whole cache is
-    /// invalidated on every snapshot publish (insert / delete / epoch
-    /// merge), so a hit can never return a stale answer. 0 disables.
+    /// DitaService answer cache (DESIGN.md §5g): LRU entries keyed by a
+    /// 128-bit digest of the canonical request bytes (kind, metric, tau, k,
+    /// query points), serving repeat queries without touching the scheduler
+    /// or the index. Each entry keeps its request bytes and a hit must match
+    /// them exactly, so two requests whose digests collide never alias.
+    /// Entries are version-tagged and the whole cache is invalidated on
+    /// every snapshot publish (insert / delete / epoch merge), so a hit can
+    /// never return a stale answer. 0 disables.
     size_t answer_cache_entries = 0;
 
     /// Always-on flight recorder: DitaService keeps the last N per-request

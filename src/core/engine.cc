@@ -47,8 +47,6 @@ DitaEngine::DitaEngine(std::shared_ptr<Cluster> cluster, const DitaConfig& confi
   metrics_ =
       config_.enable_metrics ? cluster_->EnableMetrics() : cluster_->metrics();
   m_partitions_relevant_ = {metrics_, "filter.global.partitions_relevant"};
-  m_sketch_partitions_pruned_ = {metrics_, "filter.sketch.partitions_pruned"};
-  m_sketch_candidates_pruned_ = {metrics_, "filter.sketch.candidates_pruned"};
   m_trie_nodes_visited_ = {metrics_, "filter.trie.nodes_visited"};
   m_trie_nodes_pruned_ = {metrics_, "filter.trie.nodes_pruned"};
   m_trie_candidates_ = {metrics_, "filter.trie.candidates"};
@@ -59,8 +57,6 @@ DitaEngine::DitaEngine(std::shared_ptr<Cluster> cluster, const DitaConfig& confi
   m_verify_dp_cells_ = {metrics_, "verify.dp.cells"};
   m_verify_accepted_ = {metrics_, "verify.accepted"};
   h_query_candidates_ = {metrics_, "query.candidates", obs::CountOptions()};
-  h_batch_survivors_ = {metrics_, "verify.batch.survivors",
-                        obs::CountOptions()};
   m_query_admitted_ = {metrics_, "query.admitted"};
   m_query_shed_ = {metrics_, "query.shed"};
   m_query_shed_search_ = {metrics_, "query.shed.search"};
@@ -107,16 +103,6 @@ void DitaEngine::ReleaseThreadScratch() {
   broadcast(build_pool_.get());
   broadcast(verify_pool_.get());
   TrieIndex::Scratch::ThreadLocal().Release();
-}
-
-bool DitaEngine::SketchActive() const {
-  if (!config_.verify.enable_sketch || !sig_grid_.valid()) return false;
-  return config_.distance == DistanceType::kDTW ||
-         config_.distance == DistanceType::kFrechet;
-}
-
-SigBits DitaEngine::DilatedQuerySig(const Trajectory& q, double tau) const {
-  return Dilate(BuildSignature(q, sig_grid_).bits, sig_grid_, tau);
 }
 
 bool DitaEngine::ShouldDegrade(const QueryContext* ctx, const Status& stage) {
@@ -344,17 +330,6 @@ Status DitaEngine::BuildIndex(const Dataset& data) {
                                           build_pool_.get(),
                                           &partition_offloaded);
   DITA_RETURN_IF_ERROR(parts.status());
-
-  // Level-0 sketch frame (DESIGN.md §5g): one fixed grid over the whole
-  // table's data MBR, shared by every partition so signatures stay
-  // comparable across them (and across delta inserts later).
-  MBR data_mbr;
-  for (const auto& part : *parts) {
-    for (const Trajectory& t : part) {
-      for (const Point& pt : t.points()) data_mbr.Expand(pt);
-    }
-  }
-  sig_grid_ = data_mbr.empty() ? SigGrid{} : SigGrid::For(data_mbr);
   cluster_->RecordDriverCompute(partition_timer.Seconds() + partition_offloaded);
 
   partitions_.clear();
@@ -395,15 +370,9 @@ Status DitaEngine::BuildIndex(const Dataset& data) {
                  for (size_t i = lo; i < hi; ++i) {
                    partition.precomp[i] = VerifyPrecomp::For(
                        partition.trie.trajectories()[i],
-                       config_.verify.cell_size, &sig_grid_);
+                       config_.verify.cell_size);
                  }
                });
-           // Aggregate sketch over the members (OR of bits, component-wise
-           // minhash minima) — the partition-level prune the search paths
-           // test before probing the trie.
-           for (const VerifyPrecomp& vp : partition.precomp) {
-             AggregateSignature(vp.sig, &partition.sketch_agg);
-           }
            // Pool-thread CPU is charged to this cluster task so the
            // virtual-time ledger matches a serial build.
            if (offloaded > 0.0) Cluster::ChargeCurrentTask(offloaded);
@@ -427,9 +396,6 @@ Status DitaEngine::BuildIndex(const Dataset& data) {
     for (const VerifyPrecomp& vp : p.precomp) {
       index_stats_.local_index_bytes += vp.ByteSize();
     }
-    // Signatures are inline (fixed-width) — one per trajectory plus the
-    // partition aggregate.
-    index_stats_.sketch_bytes += (p.precomp.size() + 1) * sizeof(TrajSignature);
   }
   build_span.Arg("partitions", partitions_.size());
   build_span.Arg("trajectories", data.size());
@@ -442,7 +408,6 @@ void DitaEngine::RecordFilterMetrics(size_t partitions_relevant,
                                      const VerifyStats& vstats) const {
   if (metrics_ == nullptr) return;
   m_partitions_relevant_.Add(partitions_relevant);
-  m_sketch_candidates_pruned_.Add(vstats.pruned_by_sketch);
   m_trie_nodes_visited_.Add(pstats.nodes_visited);
   m_trie_nodes_pruned_.Add(pstats.nodes_pruned);
   m_trie_candidates_.Add(vstats.pairs);
@@ -522,8 +487,7 @@ size_t DitaEngine::LocalSearch(const Partition& p, const Trajectory& q,
                                std::vector<TrajectoryId>* results,
                                VerifyStats* vstats,
                                TrieIndex::ProbeStats* pstats,
-                               QueryContext* ctx,
-                               const SigBits* dilated) const {
+                               QueryContext* ctx) const {
   TrieIndex::SearchSpec spec = MakeSpec(q, tau);
   spec.ctx = ctx;
   DpScratch& scratch = DpScratch::ThreadLocal();
@@ -536,15 +500,10 @@ size_t DitaEngine::LocalSearch(const Partition& p, const Trajectory& q,
   }
   std::vector<uint32_t>& accepted = scratch.Accepted();
   accepted.clear();
-  const size_t dp_before = vstats != nullptr ? vstats->dp_computed : 0;
-  const Verifier::Batch batch{&p.precomp, &candidates, &qp, tau, dilated, ctx};
+  const Verifier::Batch batch{&p.precomp, &candidates, &qp, tau, ctx};
   const Verifier::BatchResult r = verifier_->VerifyBatch(
       batch, verify_pool_.get(), config_.verify.parallel_min, &accepted,
       vstats, tracer_);
-  if (vstats != nullptr) {
-    h_batch_survivors_.Observe(
-        static_cast<double>(vstats->dp_computed - dp_before));
-  }
   // DP chunks ran on pool threads; charge their CPU to this cluster task so
   // the virtual-time ledger matches a serial verification.
   if (r.offloaded_seconds > 0.0) Cluster::ChargeCurrentTask(r.offloaded_seconds);
@@ -569,33 +528,6 @@ Result<std::vector<TrajectoryId>> DitaEngine::SearchImpl(
     probe_span.Arg("relevant", relevant.size());
   }
   const VerifyPrecomp qp = VerifyPrecomp::For(q, config_.verify.cell_size);
-
-  // Level-0 sketch tier (DESIGN.md §5g): dilate the query's signature by
-  // tau once, then drop relevant partitions whose aggregate bits miss the
-  // dilated set — no member of such a partition can pass the per-candidate
-  // subset test, let alone match. Pruned partitions were proven empty of
-  // answers, so they count as fully searched for completeness.
-  const bool sketch = SketchActive();
-  SigBits dilated;
-  uint64_t sketch_pruned_population = 0;
-  if (sketch) {
-    dilated = DilatedQuerySig(q, tau);
-    size_t pruned_parts = 0;
-    std::vector<uint32_t> probed;
-    probed.reserve(relevant.size());
-    for (const uint32_t pid : relevant) {
-      const Partition& part = partitions_[pid];
-      if (!part.sketch_agg.bits.Empty() &&
-          !part.sketch_agg.bits.Intersects(dilated)) {
-        sketch_pruned_population += part.trie.size();
-        ++pruned_parts;
-      } else {
-        probed.push_back(pid);
-      }
-    }
-    relevant.swap(probed);
-    if (pruned_parts > 0) m_sketch_partitions_pruned_.Add(pruned_parts);
-  }
   cluster_->RecordDriverCompute(driver_timer.Seconds());
 
   // Probe-stat collection feeds the funnel (per caller request) and the
@@ -616,8 +548,7 @@ Result<std::vector<TrajectoryId>> DitaEngine::SearchImpl(
                        if (want_probe_stats) out->pstats.Reset(trie_levels);
                        out->candidates = LocalSearch(
                            *part, q, qp, tau, &out->ids, &out->vstats,
-                           want_probe_stats ? &out->pstats : nullptr, ctx,
-                           sketch ? &dilated : nullptr);
+                           want_probe_stats ? &out->pstats : nullptr, ctx);
                        // Complete iff the stop (if any) had not fired by the
                        // time this task finished; conservative under real
                        // concurrency, exact under serial execution.
@@ -648,8 +579,7 @@ Result<std::vector<TrajectoryId>> DitaEngine::SearchImpl(
   }
   size_t total_candidates = 0;
   std::vector<TrajectoryId> results =
-      MergeSearch(relevant, slots, stats, ctx, snap, &total_candidates,
-                  sketch_pruned_population);
+      MergeSearch(relevant, slots, stats, ctx, snap, &total_candidates);
   query_span.Arg("partitions_probed", relevant.size());
   query_span.Arg("candidates", total_candidates);
   query_span.Arg("results", results.size());
@@ -660,16 +590,13 @@ std::vector<TrajectoryId> DitaEngine::MergeSearch(
     const std::vector<uint32_t>& relevant,
     const std::vector<const SearchLocalOut*>& slots, QueryStats* stats,
     QueryContext* ctx, const Cluster::CostSnapshot& snap,
-    size_t* total_candidates_out, uint64_t sketch_pruned_population) const {
+    size_t* total_candidates_out) const {
   const bool want_probe_stats = stats != nullptr || metrics_ != nullptr;
   const size_t trie_levels = config_.build.trie.num_pivots + 2;
   std::vector<TrajectoryId> results;
   size_t total_candidates = 0;
-  // Sketch-pruned partitions were proven to hold no answers, so they count
-  // as merged (fully searched) for completeness and enter the funnel at the
-  // "global index" level before the "sketch partitions" level removes them.
-  uint64_t relevant_population = sketch_pruned_population;
-  uint64_t merged_population = sketch_pruned_population;
+  uint64_t relevant_population = 0;
+  uint64_t merged_population = 0;
   VerifyStats vstats;
   TrieIndex::ProbeStats pstats;
   pstats.Reset(trie_levels);
@@ -713,8 +640,7 @@ std::vector<TrajectoryId> DitaEngine::MergeSearch(
     obs::FilterFunnel funnel;
     funnel.AddLevel("table", index_stats_.num_trajectories);
     funnel.AddLevel("global index", merged_population);
-    uint64_t remaining = merged_population - sketch_pruned_population;
-    funnel.AddLevel("sketch partitions", remaining);
+    uint64_t remaining = merged_population;
     for (size_t l = 0; l < trie_levels; ++l) {
       remaining -= pstats.pruned_members[l];
       const std::string label =
@@ -724,10 +650,7 @@ std::vector<TrajectoryId> DitaEngine::MergeSearch(
       funnel.AddLevel(label, remaining);
     }
     funnel.AddLevel("candidates", total_candidates);
-    funnel.AddLevel("sketch signature",
-                    vstats.pairs - vstats.pruned_by_sketch);
-    funnel.AddLevel("mbr coverage", vstats.pairs - vstats.pruned_by_sketch -
-                                        vstats.pruned_by_mbr);
+    funnel.AddLevel("mbr coverage", vstats.pairs - vstats.pruned_by_mbr);
     funnel.AddLevel("cell bound", vstats.dp_computed);
     funnel.AddLevel("threshold dp", vstats.accepted);
     stats->funnel = std::move(funnel);
@@ -735,250 +658,6 @@ std::vector<TrajectoryId> DitaEngine::MergeSearch(
   std::sort(results.begin(), results.end());
   if (total_candidates_out != nullptr) *total_candidates_out = total_candidates;
   return results;
-}
-
-std::vector<Result<QueryResult>> DitaEngine::ExecuteBatch(
-    std::span<const QueryRequest> reqs) const {
-  std::vector<Result<QueryResult>> out;
-  out.reserve(reqs.size());
-  for (size_t i = 0; i < reqs.size(); ++i) {
-    out.push_back(Result<QueryResult>(Status::Internal("batch slot not filled")));
-  }
-  // Only valid threshold searches batch; everything else — joins, kNN, and
-  // searches that would fail validation — takes the standalone path so its
-  // behavior (including its error) is exactly Execute's.
-  std::vector<size_t> batched;
-  for (size_t i = 0; i < reqs.size(); ++i) {
-    const QueryRequest& req = reqs[i];
-    const bool batchable = req.kind == QueryKind::kSearch && indexed_ &&
-                           req.query.size() >= 2 && req.tau >= 0;
-    if (batchable) {
-      batched.push_back(i);
-    } else {
-      out[i] = Execute(req);
-    }
-  }
-  if (batched.empty()) return out;
-  if (batched.size() == 1) {
-    out[batched[0]] = Execute(reqs[batched[0]]);
-    return out;
-  }
-  // One admission ticket covers the whole batch at the members' summed
-  // cost, so the gate's inflight-cost budget sees the same load as the
-  // standalone calls would have presented.
-  uint64_t cost = 0;
-  for (const size_t i : batched) cost += EstimateQueryCost(reqs[i]);
-  AdmissionGate::Ticket ticket;
-  const Status admitted =
-      AdmitQuery(QueryKind::kSearch, nullptr, cost, &ticket);
-  if (!admitted.ok()) {
-    for (const size_t i : batched) out[i] = admitted;
-    return out;
-  }
-  SearchBatchImpl(reqs, batched, &out);
-  return out;
-}
-
-void DitaEngine::SearchBatchImpl(std::span<const QueryRequest> reqs,
-                                 const std::vector<size_t>& members,
-                                 std::vector<Result<QueryResult>>* results) const {
-  const Cluster::CostSnapshot snap = cluster_->Snapshot();
-  obs::SpanGuard batch_span(tracer_, "query.batch");
-  batch_span.Arg("queries", members.size());
-  const size_t n = members.size();
-  const size_t trie_levels = config_.build.trie.num_pivots + 2;
-  // Driver: per member, relevant partitions + verification precomp (the
-  // same work the standalone path performs, once per member).
-  CpuTimer driver_timer;
-  std::vector<std::vector<uint32_t>> relevant(n);
-  std::vector<VerifyPrecomp> qps;
-  qps.reserve(n);
-  for (size_t m = 0; m < n; ++m) {
-    const QueryRequest& req = reqs[members[m]];
-    relevant[m] = RelevantPartitions(req.query, req.tau);
-    qps.push_back(VerifyPrecomp::For(req.query, config_.verify.cell_size));
-  }
-
-  // Level-0 sketch tier, per member (see SearchImpl). The dilated
-  // signatures live in the driver thread's grow-once scratch arena — the
-  // traversal tasks only read them — so a steady batch stream allocates
-  // nothing here.
-  const bool sketch = SketchActive();
-  std::vector<SigBits>& dsigs = TrieIndex::Scratch::ThreadLocal().DilatedSigs();
-  std::vector<uint64_t> sketch_pruned_pop(n, 0);
-  if (sketch) {
-    if (dsigs.size() < n) dsigs.resize(n);
-    size_t pruned_parts = 0;
-    for (size_t m = 0; m < n; ++m) {
-      const QueryRequest& req = reqs[members[m]];
-      dsigs[m] = DilatedQuerySig(req.query, req.tau);
-      std::vector<uint32_t> probed;
-      probed.reserve(relevant[m].size());
-      for (const uint32_t pid : relevant[m]) {
-        const Partition& part = partitions_[pid];
-        if (!part.sketch_agg.bits.Empty() &&
-            !part.sketch_agg.bits.Intersects(dsigs[m])) {
-          sketch_pruned_pop[m] += part.trie.size();
-          ++pruned_parts;
-        } else {
-          probed.push_back(pid);
-        }
-      }
-      relevant[m].swap(probed);
-    }
-    if (pruned_parts > 0) m_sketch_partitions_pruned_.Add(pruned_parts);
-  }
-  cluster_->RecordDriverCompute(driver_timer.Seconds());
-
-  // Group members by relevant partition: each involved partition is probed
-  // by ONE task running the shared trie traversal and the multi-query
-  // verify pass for its member subset — this is where the batch saves work
-  // over n standalone stages. Slots stay per (partition, member), so each
-  // member's merge/degradation logic is untouched.
-  struct PartWork {
-    uint32_t pid = 0;
-    std::vector<uint32_t> members;     // ordinals into `members`, ascending
-    std::vector<SearchLocalOut> outs;  // parallel to members
-  };
-  std::map<uint32_t, std::vector<uint32_t>> by_part;
-  for (size_t m = 0; m < n; ++m) {
-    for (const uint32_t pid : relevant[m]) {
-      by_part[pid].push_back(static_cast<uint32_t>(m));
-    }
-  }
-  std::vector<PartWork> work;
-  work.reserve(by_part.size());
-  std::unordered_map<uint32_t, uint32_t> work_of;
-  for (auto& [pid, ms] : by_part) {
-    work_of[pid] = static_cast<uint32_t>(work.size());
-    PartWork pw;
-    pw.pid = pid;
-    pw.members = std::move(ms);
-    pw.outs.resize(pw.members.size());
-    work.push_back(std::move(pw));
-  }
-  // slot_of[m][idx] locates member m's slot for relevant[m][idx].
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> slot_of(n);
-  for (size_t m = 0; m < n; ++m) {
-    slot_of[m].reserve(relevant[m].size());
-    for (const uint32_t pid : relevant[m]) {
-      const uint32_t w = work_of[pid];
-      const auto& wm = work[w].members;
-      const uint32_t j = static_cast<uint32_t>(
-          std::lower_bound(wm.begin(), wm.end(), static_cast<uint32_t>(m)) -
-          wm.begin());
-      slot_of[m].push_back({w, j});
-    }
-  }
-
-  std::vector<Cluster::Task> tasks;
-  tasks.reserve(work.size());
-  for (PartWork& pw : work) {
-    const Partition* part = &partitions_[pw.pid];
-    PartWork* w = &pw;
-    tasks.push_back(
-        {part->home_worker,
-         [this, part, w, reqs, &members, &qps, trie_levels, sketch, &dsigs] {
-           const size_t cnt = w->members.size();
-           std::vector<std::vector<uint32_t>> cand(cnt);
-           std::vector<std::vector<uint32_t>> acc(cnt);
-           std::vector<TrieIndex::BatchQuery> bq(cnt);
-           for (size_t j = 0; j < cnt; ++j) {
-             const QueryRequest& req = reqs[members[w->members[j]]];
-             SearchLocalOut* slot = &w->outs[j];
-             TrieIndex::SearchSpec spec = MakeSpec(req.query, req.tau);
-             spec.ctx = req.ctx;
-             bq[j].spec = spec;
-             bq[j].out = &cand[j];
-             if (req.collect_stats || metrics_ != nullptr) {
-               slot->pstats.Reset(trie_levels);
-               bq[j].stats = &slot->pstats;
-             }
-           }
-           {
-             obs::SpanGuard collect_span(tracer_, "trie.collect");
-             part->trie.CollectCandidatesBatch(bq.data(), cnt);
-             size_t total = 0;
-             for (const auto& c : cand) total += c.size();
-             collect_span.Arg("queries", cnt);
-             collect_span.Arg("candidates", total);
-           }
-           std::vector<Verifier::MultiQuery> mq(cnt);
-           for (size_t j = 0; j < cnt; ++j) {
-             const QueryRequest& req = reqs[members[w->members[j]]];
-             mq[j] = Verifier::MultiQuery{
-                 &cand[j], &qps[w->members[j]], req.tau,
-                 sketch ? &dsigs[w->members[j]] : nullptr,
-                 req.ctx,  &acc[j],             &w->outs[j].vstats};
-           }
-           const Verifier::BatchResult r = verifier_->VerifyMulti(
-               part->precomp, mq.data(), cnt, verify_pool_.get(),
-               config_.verify.parallel_min, tracer_);
-           if (r.offloaded_seconds > 0.0) {
-             Cluster::ChargeCurrentTask(r.offloaded_seconds);
-           }
-           for (size_t j = 0; j < cnt; ++j) {
-             const QueryRequest& req = reqs[members[w->members[j]]];
-             SearchLocalOut* slot = &w->outs[j];
-             slot->candidates = cand[j].size();
-             for (const uint32_t pos : acc[j]) {
-               slot->ids.push_back(part->trie.trajectory(pos).id());
-             }
-             h_batch_survivors_.Observe(
-                 static_cast<double>(slot->vstats.dp_computed));
-             slot->complete = req.ctx == nullptr || !req.ctx->stopped();
-           }
-           return Status::OK();
-         },
-         part->data_bytes});
-  }
-
-  // The stage itself carries no member context: one member's stop must not
-  // abort the shared traversal for the rest (the traversal drops the
-  // stopped member from its alive sets instead). Infrastructure failures
-  // still fail the stage — and with it every member, exactly as each
-  // standalone call would have failed.
-  std::vector<uint8_t> kept;
-  const Status stage =
-      cluster_->RunStage(std::move(tasks), StageOpts("search.batch"), &kept);
-  for (size_t m = 0; m < n; ++m) {
-    QueryContext* const ctx = reqs[members[m]].ctx;
-    if (ctx != nullptr) {
-      ctx->ObserveVirtualSeconds(cluster_->MakespanSince(snap));
-    }
-  }
-  if (!stage.ok()) {
-    for (size_t m = 0; m < n; ++m) (*results)[members[m]] = stage;
-    return;
-  }
-
-  size_t batch_results = 0;
-  for (size_t m = 0; m < n; ++m) {
-    const QueryRequest& req = reqs[members[m]];
-    std::vector<const SearchLocalOut*> slots(relevant[m].size(), nullptr);
-    bool dropped = false;
-    for (size_t idx = 0; idx < relevant[m].size(); ++idx) {
-      const auto [w, j] = slot_of[m][idx];
-      if ((!kept.empty() && !kept[w]) || !work[w].outs[j].complete) {
-        dropped = true;
-        continue;
-      }
-      slots[idx] = &work[w].outs[j];
-    }
-    if (dropped) {
-      m_query_degraded_.Increment();
-      if (tracer_ != nullptr) tracer_->Instant("query.degraded");
-    }
-    QueryResult res;
-    res.kind = QueryKind::kSearch;
-    QueryStats* qstats = req.collect_stats ? &res.search_stats : nullptr;
-    size_t total_candidates = 0;
-    res.ids = MergeSearch(relevant[m], slots, qstats, req.ctx, snap,
-                          &total_candidates, sketch_pruned_pop[m]);
-    batch_results += res.ids.size();
-    (*results)[members[m]] = std::move(res);
-  }
-  batch_span.Arg("results", batch_results);
 }
 
 DitaEngine::KnnPlan DitaEngine::PlanKnn(const Trajectory& q, size_t k) const {

@@ -2,7 +2,6 @@
 #define DITA_CORE_ENGINE_H_
 
 #include <memory>
-#include <span>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -32,9 +31,6 @@ struct IndexStats {
   size_t num_trajectories = 0;
   size_t global_index_bytes = 0;
   size_t local_index_bytes = 0;
-  /// Bytes held by the level-0 sketch tier (per-trajectory signatures plus
-  /// per-partition aggregates; DESIGN.md §5g).
-  size_t sketch_bytes = 0;
 };
 
 /// Per-query observability (Figs. 7-8, 17).
@@ -213,25 +209,6 @@ class DitaEngine {
   /// query methods below are exact aliases over this.
   Result<QueryResult> Execute(const QueryRequest& req) const;
 
-  /// Executes a group of requests, running compatible threshold searches as
-  /// one batched pass through the filter pipeline (DESIGN.md §5f): each
-  /// relevant partition is probed once per batch with
-  /// TrieIndex::CollectCandidatesBatch + Verifier::VerifyMulti instead of
-  /// once per query. Results are positional (results[i] answers reqs[i])
-  /// and per query bit-identical to Execute — including funnel, verify, and
-  /// trie counters; only makespan-style timings reflect the shared stage.
-  /// Non-search requests (and searches that fail validation) fall back to
-  /// individual Execute calls. The batch is admitted as one ticket whose
-  /// cost is the members' summed estimate. A member whose QueryContext
-  /// stops mid-batch degrades alone, exactly as it would standalone; the
-  /// other members' answers are unaffected.
-  std::vector<Result<QueryResult>> ExecuteBatch(
-      std::span<const QueryRequest> reqs) const;
-  std::vector<Result<QueryResult>> ExecuteBatch(
-      const std::vector<QueryRequest>& reqs) const {
-    return ExecuteBatch(std::span<const QueryRequest>(reqs));
-  }
-
   /// Estimated cost of `req` in admission units (relevant-partition probes
   /// for searches; for kNN the partitions its seed stage must visit, the
   /// fewest lowest-bound partitions holding k trajectories; partition-pair
@@ -305,10 +282,6 @@ class DitaEngine {
     TrieIndex trie;
     std::vector<VerifyPrecomp> precomp;  // parallel to trie.trajectories()
     size_t data_bytes = 0;
-    /// Aggregate sketch over the members: OR of cell bits, component-wise
-    /// minhash minima. A query whose dilated signature misses these bits
-    /// cannot match anything in the partition (DESIGN.md §5g).
-    TrajSignature sketch_agg;
   };
 
   /// One (partition, query) slot of a search stage. Each task writes only
@@ -329,30 +302,17 @@ class DitaEngine {
   /// `relevant`; null entries were dropped or incomplete), folds the
   /// aggregated counters into the metrics registry, fills `stats`
   /// (termination, completeness, filter funnel) when requested, and returns
-  /// the sorted result ids. Shared verbatim by the single-query and batched
-  /// search paths so their per-query accounting cannot drift apart.
-  /// `sketch_pruned_population` is the trajectory count of the relevant
-  /// partitions the level-0 sketch pruned before probing; those partitions
-  /// were proven empty of matches, so they count as merged for completeness
-  /// and the funnel's "sketch partitions" level subtracts them.
+  /// the sorted result ids.
   std::vector<TrajectoryId> MergeSearch(
       const std::vector<uint32_t>& relevant,
       const std::vector<const SearchLocalOut*>& slots, QueryStats* stats,
       QueryContext* ctx, const Cluster::CostSnapshot& snap,
-      size_t* total_candidates_out,
-      uint64_t sketch_pruned_population = 0) const;
+      size_t* total_candidates_out) const;
 
   /// The un-gated query bodies; Execute admits once, then dispatches here.
   Result<std::vector<TrajectoryId>> SearchImpl(const Trajectory& q, double tau,
                                                QueryStats* stats,
                                                QueryContext* ctx) const;
-
-  /// The batched search body: `members` indexes the kSearch requests of
-  /// `reqs` that passed validation; answers land in the matching positions
-  /// of `out`.
-  void SearchBatchImpl(std::span<const QueryRequest> reqs,
-                       const std::vector<size_t>& members,
-                       std::vector<Result<QueryResult>>* out) const;
   Result<std::vector<std::pair<TrajectoryId, TrajectoryId>>> JoinImpl(
       const DitaEngine& right, double tau, JoinStats* stats,
       QueryContext* ctx) const;
@@ -421,19 +381,7 @@ class DitaEngine {
                      const VerifyPrecomp& qp, double tau,
                      std::vector<TrajectoryId>* results, VerifyStats* vstats,
                      TrieIndex::ProbeStats* pstats = nullptr,
-                     QueryContext* ctx = nullptr,
-                     const SigBits* dilated = nullptr) const;
-
-  /// True when the level-0 sketch tier applies to this engine's queries:
-  /// the toggle is on, the grid was built, and the metric is geometric
-  /// (DTW / Frechet — edit distances bypass the sketch like the other
-  /// geometric filters).
-  bool SketchActive() const;
-
-  /// Builds the query-side sketch for `q` at radius `tau`: the dilated bit
-  /// set the per-candidate subset test and the partition-aggregate
-  /// intersect test run against. Only called when SketchActive().
-  SigBits DilatedQuerySig(const Trajectory& q, double tau) const;
+                     QueryContext* ctx = nullptr) const;
 
   /// Folds one operation's aggregated filter/verify counters into the
   /// metrics registry (no-op when metrics are disabled). Cold path: called
@@ -458,10 +406,6 @@ class DitaEngine {
   std::vector<Partition> partitions_;
   IndexStats index_stats_;
   bool indexed_ = false;
-  /// Quantization frame of the level-0 sketch tier: fixed at BuildIndex
-  /// time over the table's data MBR. Invalid (all-zero) until then, and
-  /// whenever the data region is degenerate.
-  SigGrid sig_grid_;
   /// Admission gate (null when ServingOptions::max_inflight_queries == 0).
   /// Mutable: taking a ticket is bookkeeping, not an engine mutation.
   mutable std::unique_ptr<AdmissionGate> gate_;
@@ -469,9 +413,6 @@ class DitaEngine {
  public:
   /// Gate counters for tests / dashboards; null when the gate is disabled.
   const AdmissionGate* admission_gate() const { return gate_.get(); }
-
-  /// The sketch tier's quantization frame (invalid before BuildIndex).
-  const SigGrid& sig_grid() const { return sig_grid_; }
 
   /// Releases the grow-once trie/verify scratch arenas of the engine's own
   /// pool threads and the calling thread. Idempotent; called by the
@@ -489,8 +430,6 @@ class DitaEngine {
   obs::MetricsRegistry* metrics_ = nullptr;
   /// Cached null-safe handles: disabled metrics cost one branch per update.
   obs::CounterHandle m_partitions_relevant_;
-  obs::CounterHandle m_sketch_partitions_pruned_;
-  obs::CounterHandle m_sketch_candidates_pruned_;
   obs::CounterHandle m_trie_nodes_visited_;
   obs::CounterHandle m_trie_nodes_pruned_;
   obs::CounterHandle m_trie_candidates_;
@@ -501,7 +440,6 @@ class DitaEngine {
   obs::CounterHandle m_verify_dp_cells_;
   obs::CounterHandle m_verify_accepted_;
   obs::HistogramHandle h_query_candidates_;
-  obs::HistogramHandle h_batch_survivors_;
   obs::CounterHandle m_query_admitted_;
   obs::CounterHandle m_query_shed_;
   /// Per-kind shed breakdown (query.shed.{search,join,knn}); the global

@@ -37,46 +37,17 @@ void JoinPlanner::BuildGraph() {
                              : nullptr;
   const PruneMode mode = left_.distance_->prune_mode();
   const double eps = left_.distance_->matching_epsilon();
-  // Level-0 sketch tier (DESIGN.md §5g): project each right partition's
-  // aggregate bits into the left frame, dilated by tau, once. An edge whose
-  // left aggregate misses the projection cannot contain a matching pair —
-  // only signatures cross the frame boundary, never trajectories.
-  const bool sketch = SketchActive();
-  std::vector<SigBits> right_proj;
-  if (sketch) {
-    right_proj.resize(right_.partitions_.size());
-    for (uint32_t j = 0; j < right_.partitions_.size(); ++j) {
-      right_proj[j] = DilateAcross(right_.partitions_[j].sketch_agg.bits,
-                                   right_.sig_grid_, left_.sig_grid_, tau_);
-    }
-  }
-  sketch_pruned_pairs_ = 0;
-  size_t sketch_pruned_edges = 0;
   for (uint32_t i = 0; i < left_.partitions_.size(); ++i) {
     for (uint32_t j = 0; j < right_.partitions_.size(); ++j) {
       const auto& rs = right_.global_.summary(j);
       if (left_.global_.PartitionsMayJoin(i, rs.mbr_first, rs.mbr_last, tau_,
                                           mode, eps, erp_gap)) {
-        if (sketch) {
-          const auto& lp = left_.partitions_[i];
-          const auto& rp = right_.partitions_[j];
-          if (!lp.sketch_agg.bits.Empty() && !rp.sketch_agg.bits.Empty() &&
-              !lp.sketch_agg.bits.Intersects(right_proj[j])) {
-            sketch_pruned_pairs_ += static_cast<uint64_t>(lp.trie.size()) *
-                                    rp.trie.size();
-            ++sketch_pruned_edges;
-            continue;
-          }
-        }
         Edge e;
         e.left_part = i;
         e.right_part = j;
         edges_.push_back(e);
       }
     }
-  }
-  if (sketch_pruned_edges > 0) {
-    left_.m_sketch_partitions_pruned_.Add(sketch_pruned_edges);
   }
 }
 
@@ -97,7 +68,6 @@ void JoinPlanner::EstimateWeights() {
   CpuTimer sampling_timer;
   size_t probed_candidates = 0;
   double probed_cells = 0.0;
-  const bool sketch = SketchActive();
 
   // Estimates one direction: ship from `src` partition of `src_side` to
   // `dst` partition of the other side; returns {trans_bytes, comp_pairs}.
@@ -112,26 +82,10 @@ void JoinPlanner::EstimateWeights() {
       *comp_pairs = 0;
       return;
     }
-    // Sketch-aware estimation: sampled trajectories the ship filter would
-    // drop count as irrelevant, and the aggregates' minhash resemblance is
-    // a multiplicative prior on surviving pairs (estimation only — the
-    // minhash never prunes, DESIGN.md §5g).
-    SigBits proj;
-    double resemblance = 0.0;
-    if (sketch) {
-      const auto& dagg = dst_side.partitions_[dst].sketch_agg;
-      proj = DilateAcross(dagg.bits, dst_side.sig_grid_, src_side.sig_grid_,
-                          tau_);
-      resemblance = MinhashResemblance(sp.sketch_agg.minhash, dagg.minhash);
-    }
     size_t relevant = 0;
     size_t candidates = 0;
     for (uint32_t pos : sampled) {
       const Trajectory& t = sp.trie.trajectory(pos);
-      if (sketch && !sp.precomp[pos].sig.bits.Empty() &&
-          !sp.precomp[pos].sig.bits.SubsetOf(proj)) {
-        continue;  // the ship stage would never send it
-      }
       if (!dst_side.TrajectoryRelevantTo(t, dst_summary, tau_)) continue;
       ++relevant;
       TrieIndex::SearchSpec spec = dst_side.MakeSpec(t, tau_);
@@ -148,7 +102,7 @@ void JoinPlanner::EstimateWeights() {
     const double frac = double(relevant) / double(sampled.size());
     *trans_bytes = frac * double(sp.data_bytes);
     *comp_pairs = double(candidates) / double(sampled.size()) *
-                  double(sp.trie.size()) * (1.0 + resemblance);
+                  double(sp.trie.size());
   };
 
   for (Edge& e : edges_) {
@@ -265,11 +219,17 @@ void JoinPlanner::PlanDivisions() {
   std::vector<double> tc = NodeCosts();
   std::vector<double> sorted = tc;
   std::sort(sorted.begin(), sorted.end());
-  const size_t q_idx = static_cast<size_t>(
-      std::min<double>(double(sorted.size() - 1),
-                       std::floor(left_.config_.division_quantile *
-                                  double(sorted.size()))));
-  const double threshold = sorted[q_idx];
+  // The division_quantile of the node costs, interpolated linearly between
+  // order statistics at position q * (n - 1). A nearest-rank pick lands on
+  // the hottest cost itself whenever ties sit at the top — and in a
+  // self-join the hottest partition is two bi-graph nodes (its left and its
+  // right copy) that orientation leaves tied — so no node could exceed it.
+  const double q = std::clamp(left_.config_.division_quantile, 0.0, 1.0);
+  const double pos = q * double(sorted.size() - 1);
+  const size_t lo = static_cast<size_t>(std::floor(pos));
+  const size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double threshold =
+      sorted[lo] + (pos - double(lo)) * (sorted[hi] - sorted[lo]);
   if (threshold <= 0.0) return;
 
   for (size_t n = 0; n < num_nodes; ++n) {
@@ -350,15 +310,11 @@ Result<std::vector<std::pair<TrajectoryId, TrajectoryId>>> JoinPlanner::Run(
     }
     obs::FilterFunnel funnel;
     funnel.AddLevel("all pairs", all_pairs);
-    funnel.AddLevel("partition graph", graph_pairs + sketch_pruned_pairs_);
-    funnel.AddLevel("sketch pairs", graph_pairs);
+    funnel.AddLevel("partition graph", graph_pairs);
     funnel.AddLevel("ship relevance", ship_pairs_);
     funnel.AddLevel("trie candidates", stats->candidate_pairs);
-    funnel.AddLevel("sketch signature",
-                    stats->verify.pairs - stats->verify.pruned_by_sketch);
     funnel.AddLevel("mbr coverage",
-                    stats->verify.pairs - stats->verify.pruned_by_sketch -
-                        stats->verify.pruned_by_mbr);
+                    stats->verify.pairs - stats->verify.pruned_by_mbr);
     funnel.AddLevel("cell bound", stats->verify.dp_computed);
     funnel.AddLevel("threshold dp", stats->verify.accepted);
     stats->funnel = std::move(funnel);
@@ -416,28 +372,12 @@ JoinPlanner::Execute(DitaEngine::JoinStats* stats) {
       const uint32_t dst = e.left_to_right ? e.right_part : e.left_part;
       const auto& sp = src_side.partitions_[src];
       const auto& dst_summary = dst_side.global_.summary(dst);
-      // Sketch ship filter: project the target aggregate into the source
-      // frame once per edge; a source trajectory whose bits escape the
-      // projection cannot match anything in the target, so it never ships
-      // (the signatures crossed the wire during planning, the trajectory
-      // now doesn't have to).
-      const bool sketch = SketchActive();
-      SigBits proj;
-      if (sketch) {
-        proj = DilateAcross(
-            dst_side.partitions_[dst].sketch_agg.bits, dst_side.sig_grid_,
-            src_side.sig_grid_, tau_);
-      }
       uint64_t bytes = 0;
       constexpr uint32_t kCheckStride = 64;
       for (uint32_t pos = 0; pos < sp.trie.size(); ++pos) {
         if (ctx_ != nullptr && (pos % kCheckStride) == 0 &&
             ctx_->CheckPoint(kCheckStride)) {
           return Status::OK();  // ship_complete stays false; edge is dropped
-        }
-        if (sketch && !sp.precomp[pos].sig.bits.Empty() &&
-            !sp.precomp[pos].sig.bits.SubsetOf(proj)) {
-          continue;
         }
         const Trajectory& t = sp.trie.trajectory(pos);
         if (dst_side.TrajectoryRelevantTo(t, dst_summary, tau_)) {
@@ -508,20 +448,11 @@ JoinPlanner::Execute(DitaEngine::JoinStats* stats) {
       const auto& dp = dst_side.partitions_[dst];
 
       DpScratch& scratch = DpScratch::ThreadLocal();
-      const bool sketch = SketchActive();
       double offloaded = 0.0;
       for (uint32_t pos : plan.shipped) {
         if (ctx_ != nullptr && ctx_->stopped()) break;
         const Trajectory& q = sp.trie.trajectory(pos);
         const VerifyPrecomp& qp = sp.precomp[pos];
-        // Re-quantize the shipped trajectory in the *target's* frame so the
-        // per-candidate subset test runs in the target's own geometry
-        // (its raw points travelled with it; building a signature is O(n)).
-        SigBits qdil;
-        if (sketch) {
-          qdil = Dilate(BuildSignature(q, dst_side.sig_grid_).bits,
-                        dst_side.sig_grid_, tau_);
-        }
         TrieIndex::SearchSpec spec = dst_side.MakeSpec(q, tau_);
         spec.ctx = ctx_;
         std::vector<uint32_t>& cands = scratch.Candidates();
@@ -530,8 +461,7 @@ JoinPlanner::Execute(DitaEngine::JoinStats* stats) {
         out->candidates += cands.size();
         std::vector<uint32_t>& accepted = scratch.Accepted();
         accepted.clear();
-        const Verifier::Batch batch{&dp.precomp,          &cands, &qp, tau_,
-                                    sketch ? &qdil : nullptr, ctx_};
+        const Verifier::Batch batch{&dp.precomp, &cands, &qp, tau_, ctx_};
         const Verifier::BatchResult r = dst_side.verifier_->VerifyBatch(
             batch, dst_side.verify_pool_.get(),
             dst_side.config_.verify.parallel_min, &accepted,

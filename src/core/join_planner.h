@@ -56,12 +56,6 @@ class JoinPlanner {
   size_t NodeIndex(bool is_left, uint32_t part) const;
   const DitaEngine& Side(bool is_left) const { return is_left ? left_ : right_; }
 
-  /// True when the level-0 sketch tier applies to this join: both engines
-  /// built a grid and the (shared) metric is geometric.
-  bool SketchActive() const {
-    return left_.SketchActive() && right_.SketchActive();
-  }
-
   void BuildGraph();
   void EstimateWeights();
   void OrientGreedily();
@@ -83,11 +77,6 @@ class JoinPlanner {
   Cluster::CostSnapshot snap_;
 
   std::vector<Edge> edges_;
-  /// Trajectory pairs of partition pairs that passed the global-index test
-  /// but were pruned by the aggregate-signature intersect (DESIGN.md §5g);
-  /// shipped nothing, probed nothing. Feeds the funnel's "sketch pairs"
-  /// level. Filled by BuildGraph.
-  uint64_t sketch_pruned_pairs_ = 0;
   /// Worker assignments per node: [0] is the home worker; extra entries are
   /// division replicas.
   std::vector<std::vector<size_t>> node_workers_;

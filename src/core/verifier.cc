@@ -11,25 +11,13 @@
 namespace dita {
 
 bool Verifier::PassesFilters(const VerifyPrecomp& tp, const VerifyPrecomp& qp,
-                             double tau, VerifyStats* stats,
-                             const SigBits* dilated) const {
+                             double tau, VerifyStats* stats) const {
   const PruneMode mode = distance_->prune_mode();
   // DTW and Frechet align every point of T within tau of some point of Q,
   // which is what the MBR/cell bounds encode. Edit distances may delete
   // points and ERP may match the gap point, so neither bound applies there.
   const bool geometric = distance_->type() == DistanceType::kDTW ||
                          distance_->type() == DistanceType::kFrechet;
-
-  if (geometric && sketch_enabled_ && dilated != nullptr &&
-      !tp.sig.bits.Empty()) {
-    // Level 0 (DESIGN.md §5g): every point of a matching T lies within tau
-    // of some query point, so every occupied cell of T lies in the query's
-    // tau-dilated cell set. Four AND-NOTs — cheaper than any other filter.
-    if (!tp.sig.bits.SubsetOf(*dilated)) {
-      if (stats != nullptr) ++stats->pruned_by_sketch;
-      return false;
-    }
-  }
 
   if (geometric && mbr_enabled_) {
     // Lemma 5.4: if similar, EMBR_{T,tau} covers MBR_Q and vice versa. Both
@@ -62,9 +50,9 @@ bool Verifier::PassesFilters(const VerifyPrecomp& tp, const VerifyPrecomp& qp,
 
 bool Verifier::Verify(const Trajectory&, const VerifyPrecomp& tp,
                       const Trajectory&, const VerifyPrecomp& qp, double tau,
-                      VerifyStats* stats, const SigBits* dilated) const {
+                      VerifyStats* stats) const {
   if (stats != nullptr) ++stats->pairs;
-  if (!PassesFilters(tp, qp, tau, stats, dilated)) return false;
+  if (!PassesFilters(tp, qp, tau, stats)) return false;
   if (stats != nullptr) {
     ++stats->dp_computed;
     stats->dp_cells +=
@@ -107,7 +95,7 @@ Verifier::BatchResult Verifier::VerifyBatch(const Batch& batch,
       return out;
     }
     const uint32_t pos = candidates[i];
-    if (PassesFilters(precomp[pos], qp, tau, stats, batch.dilated)) {
+    if (PassesFilters(precomp[pos], qp, tau, stats)) {
       survivors.push_back(pos);
     }
   }
@@ -219,206 +207,6 @@ Verifier::BatchResult Verifier::VerifyBatch(const Batch& batch,
   if (stats != nullptr) stats->accepted += out.accepted;
   span.Arg("pairs", candidates.size());
   span.Arg("survivors", count);
-  span.Arg("accepted", out.accepted);
-  return out;
-}
-
-Verifier::BatchResult Verifier::VerifyMulti(
-    const std::vector<VerifyPrecomp>& precomp, MultiQuery* queries,
-    size_t count, ThreadPool* pool, size_t min_parallel,
-    obs::Tracer* tracer) const {
-  BatchResult out;
-  if (count == 0) return out;
-  if (count == 1) {
-    Batch b;
-    b.precomp = &precomp;
-    b.candidates = queries[0].candidates;
-    b.query = queries[0].query;
-    b.tau = queries[0].tau;
-    b.dilated = queries[0].dilated;
-    b.ctx = queries[0].ctx;
-    return VerifyBatch(b, pool, min_parallel, queries[0].accepted,
-                       queries[0].stats, tracer);
-  }
-  obs::SpanGuard span(tracer, "verify.multi");
-  DpScratch& scratch = DpScratch::ThreadLocal();
-
-  // Pass 1, member by member: exactly the standalone filter scan — same
-  // stride checkpoints, same prune/dp accounting order, same up-front DP
-  // cell charge. Each member's survivors land contiguously (candidate-list
-  // order) in the shared survivors lane; offs[m] delimits them. A member
-  // that stops anywhere in its own pass contributes nothing downstream.
-  std::vector<uint32_t>& survivors = scratch.Survivors();
-  survivors.clear();
-  std::vector<size_t> offs(count + 1, 0);
-  size_t total_pairs = 0;
-  constexpr size_t kFilterStride = 256;
-  for (size_t m = 0; m < count; ++m) {
-    offs[m] = survivors.size();
-    MultiQuery& q = queries[m];
-    QueryContext* const ctx = q.ctx;
-    if (ctx != nullptr && ctx->stopped()) continue;
-    const std::vector<uint32_t>& candidates = *q.candidates;
-    if (q.stats != nullptr) q.stats->pairs += candidates.size();
-    total_pairs += candidates.size();
-    bool stopped_in_scan = false;
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      if (ctx != nullptr && (i % kFilterStride) == 0 && i != 0 &&
-          ctx->CheckPoint(kFilterStride)) {
-        stopped_in_scan = true;
-        break;
-      }
-      const uint32_t pos = candidates[i];
-      if (PassesFilters(precomp[pos], *q.query, q.tau, q.stats, q.dilated)) {
-        survivors.push_back(pos);
-      }
-    }
-    if (stopped_in_scan) {
-      survivors.resize(offs[m]);
-      continue;
-    }
-    uint64_t member_dp_cells = 0;
-    for (size_t r = offs[m]; r < survivors.size(); ++r) {
-      member_dp_cells += static_cast<uint64_t>(precomp[survivors[r]].soa.size()) *
-                         q.query->soa.size();
-    }
-    if (q.stats != nullptr) {
-      q.stats->dp_computed += survivors.size() - offs[m];
-      q.stats->dp_cells += member_dp_cells;
-    }
-    if (ctx != nullptr && (ctx->ChargeDpCells(member_dp_cells) ||
-                           ctx->CheckScratchBytes(scratch.ByteSize()))) {
-      survivors.resize(offs[m]);
-      continue;
-    }
-  }
-  offs[count] = survivors.size();
-  const size_t total = survivors.size();
-
-  // Pass 2: the merged DP work, swept candidate-major. Sorting the packed
-  // (position << 32 | rank) keys groups every (candidate, query) pair that
-  // shares a candidate trajectory, so its SoA lanes are scored against all
-  // interested queries while hot. Accept bits are keyed by survivor rank,
-  // and the per-member compaction below re-reads them in rank order — i.e.
-  // in each member's own candidate order, matching the standalone path.
-  if (total > 0) {
-    std::vector<uint64_t>& pairs = scratch.Pairs();
-    pairs.clear();
-    pairs.reserve(total);
-    for (size_t g = 0; g < total; ++g) {
-      pairs.push_back((uint64_t{survivors[g]} << 32) | g);
-    }
-    std::sort(pairs.begin(), pairs.end());
-    uint8_t* flags = scratch.Flags(total);
-    const uint32_t* surv = survivors.data();
-    auto member_of = [&offs](size_t g) -> size_t {
-      return static_cast<size_t>(
-          std::upper_bound(offs.begin(), offs.end(), g) - offs.begin() - 1);
-    };
-
-    struct ScratchCtxGuard {
-      DpScratch* s;
-      ~ScratchCtxGuard() { s->SetQueryContext(nullptr); }
-    };
-    const size_t min_par = std::max<size_t>(min_parallel, 2);
-    if (pool == nullptr || pool->num_threads() < 2 || total < min_par) {
-      ScratchCtxGuard guard{&scratch};
-      for (const uint64_t key : pairs) {
-        const size_t g = static_cast<size_t>(key & 0xffffffffu);
-        const uint32_t pos = static_cast<uint32_t>(key >> 32);
-        MultiQuery& q = queries[member_of(g)];
-        if (q.ctx != nullptr && q.ctx->stopped()) {
-          flags[g] = 0;
-          continue;
-        }
-        scratch.SetQueryContext(q.ctx);
-        flags[g] = distance_->WithinThreshold(precomp[pos].soa.view(),
-                                              q.query->soa.view(), q.tau,
-                                              &scratch)
-                       ? 1
-                       : 0;
-      }
-    } else {
-      const uint64_t* pair_data = pairs.data();
-      const size_t chunk_count = std::min(total, pool->num_threads() * 4);
-      const size_t chunk_len = (total + chunk_count - 1) / chunk_count;
-      double* chunk_cpu = scratch.Gap(chunk_count);
-
-      struct Sync {
-        std::mutex mu;
-        std::condition_variable done;
-        size_t remaining = 0;
-        std::exception_ptr error;
-      } sync;
-      size_t launched = 0;
-      for (size_t c = 0; c < chunk_count && c * chunk_len < total; ++c) {
-        ++launched;
-      }
-      sync.remaining = launched;
-
-      for (size_t c = 0; c < launched; ++c) {
-        const size_t lo = c * chunk_len;
-        const size_t hi = std::min(total, lo + chunk_len);
-        pool->Submit([this, pair_data, flags, chunk_cpu, lo, hi, c, queries,
-                      &member_of, &precomp, &sync] {
-          CpuTimer timer;
-          try {
-            DpScratch& local = DpScratch::ThreadLocal();
-            ScratchCtxGuard guard{&local};
-            for (size_t k = lo; k < hi; ++k) {
-              const uint64_t key = pair_data[k];
-              const size_t g = static_cast<size_t>(key & 0xffffffffu);
-              const uint32_t pos = static_cast<uint32_t>(key >> 32);
-              MultiQuery& q = queries[member_of(g)];
-              if (q.ctx != nullptr && q.ctx->stopped()) {
-                // A stopped member's flags must not read as stale accepts;
-                // the other members' pairs in this chunk keep running.
-                flags[g] = 0;
-                continue;
-              }
-              local.SetQueryContext(q.ctx);
-              flags[g] = distance_->WithinThreshold(precomp[pos].soa.view(),
-                                                    q.query->soa.view(), q.tau,
-                                                    &local)
-                             ? 1
-                             : 0;
-            }
-          } catch (...) {
-            std::lock_guard<std::mutex> lock(sync.mu);
-            if (!sync.error) sync.error = std::current_exception();
-          }
-          chunk_cpu[c] = timer.Seconds();
-          std::lock_guard<std::mutex> lock(sync.mu);
-          if (--sync.remaining == 0) sync.done.notify_all();
-        });
-      }
-      {
-        std::unique_lock<std::mutex> lock(sync.mu);
-        sync.done.wait(lock, [&sync] { return sync.remaining == 0; });
-      }
-      if (sync.error) std::rethrow_exception(sync.error);
-
-      out.pool_chunks = launched;
-      for (size_t c = 0; c < launched; ++c) {
-        out.offloaded_seconds += chunk_cpu[c];
-      }
-    }
-
-    for (size_t m = 0; m < count; ++m) {
-      MultiQuery& q = queries[m];
-      const size_t before = q.accepted->size();
-      for (size_t g = offs[m]; g < offs[m + 1]; ++g) {
-        if (flags[g]) q.accepted->push_back(surv[g]);
-      }
-      const size_t got = q.accepted->size() - before;
-      if (q.stats != nullptr) q.stats->accepted += got;
-      out.accepted += got;
-    }
-  }
-
-  span.Arg("queries", count);
-  span.Arg("pairs", total_pairs);
-  span.Arg("survivors", total);
   span.Arg("accepted", out.accepted);
   return out;
 }

@@ -10,7 +10,6 @@
 #include "geom/soa.h"
 #include "geom/trajectory.h"
 #include "index/cell.h"
-#include "index/signature.h"
 #include "obs/trace.h"
 #include "util/query_context.h"
 #include "util/thread_pool.h"
@@ -26,22 +25,14 @@ struct VerifyPrecomp {
   MBR mbr;
   CellSummary cells;
   SoaTrajectory soa;
-  /// Level-0 sketch (DESIGN.md §5g): grid-cell bitset + minhash shingles in
-  /// the owning engine's SigGrid frame. Zero (empty bits) when the precomp
-  /// was built without a grid; the sketch filter then never engages.
-  TrajSignature sig;
 
-  static VerifyPrecomp For(const Trajectory& t, double cell_size,
-                           const SigGrid* grid = nullptr) {
-    VerifyPrecomp p{t.ComputeMBR(), CompressToCells(t, cell_size),
-                    SoaTrajectory(t), TrajSignature{}};
-    if (grid != nullptr && grid->valid()) p.sig = BuildSignature(t, *grid);
-    return p;
+  static VerifyPrecomp For(const Trajectory& t, double cell_size) {
+    return VerifyPrecomp{t.ComputeMBR(), CompressToCells(t, cell_size),
+                         SoaTrajectory(t)};
   }
 
   /// Heap bytes this precomp holds beyond the indexed trajectory itself;
-  /// accumulated into IndexStats::local_index_bytes (the inline signature
-  /// is separately accounted in IndexStats::sketch_bytes).
+  /// accumulated into IndexStats::local_index_bytes.
   size_t ByteSize() const {
     return sizeof(MBR) + cells.cells.size() * sizeof(CellSummary::Cell) +
            soa.ByteSize();
@@ -52,7 +43,6 @@ struct VerifyPrecomp {
 /// candidate counts and the verification ablation.
 struct VerifyStats {
   size_t pairs = 0;
-  size_t pruned_by_sketch = 0;
   size_t pruned_by_mbr = 0;
   size_t pruned_by_cell = 0;
   size_t dp_computed = 0;
@@ -63,7 +53,6 @@ struct VerifyStats {
 
   void Merge(const VerifyStats& o) {
     pairs += o.pairs;
-    pruned_by_sketch += o.pruned_by_sketch;
     pruned_by_mbr += o.pruned_by_mbr;
     pruned_by_cell += o.pruned_by_cell;
     dp_computed += o.dp_computed;
@@ -88,9 +77,6 @@ class Verifier {
     const std::vector<uint32_t>* candidates = nullptr;
     const VerifyPrecomp* query = nullptr;
     double tau = 0.0;
-    /// Tau-dilated query signature (engine frame); null disables the
-    /// per-candidate sketch test for this batch. Only set for DTW/Frechet.
-    const SigBits* dilated = nullptr;
     /// Optional cooperative stop token. VerifyBatch checkpoints the filter
     /// scan, charges surviving DP cells against the budget, caps scratch
     /// growth, attaches the token to every DP scratch involved (kernels
@@ -110,35 +96,14 @@ class Verifier {
     double offloaded_seconds = 0.0;
   };
 
-  /// One member of a multi-query verification pass: this query's candidate
-  /// list (positions into the shared partition precomp array) and its own
-  /// tau / stop token / output sinks. The accepted positions land in
-  /// `accepted` in candidate-list order, exactly as a standalone
-  /// VerifyBatch call would emit them, and `stats` receives the standalone
-  /// counters.
-  struct MultiQuery {
-    const std::vector<uint32_t>* candidates = nullptr;
-    const VerifyPrecomp* query = nullptr;
-    double tau = 0.0;
-    /// Tau-dilated query signature; null disables the sketch test for this
-    /// member (see Batch::dilated).
-    const SigBits* dilated = nullptr;
-    QueryContext* ctx = nullptr;
-    std::vector<uint32_t>* accepted = nullptr;
-    VerifyStats* stats = nullptr;
-  };
-
   Verifier(std::shared_ptr<TrajectoryDistance> distance, const DitaConfig& config)
       : distance_(std::move(distance)),
         mbr_enabled_(config.verify.enable_mbr),
-        cell_enabled_(config.verify.enable_cell),
-        sketch_enabled_(config.verify.enable_sketch) {}
+        cell_enabled_(config.verify.enable_cell) {}
 
   /// Returns true iff distance(t, q) <= tau. Never rejects a true answer.
-  /// `dilated` (optional) enables the level-0 sketch test against tp.sig.
   bool Verify(const Trajectory& t, const VerifyPrecomp& tp, const Trajectory& q,
-              const VerifyPrecomp& qp, double tau, VerifyStats* stats,
-              const SigBits* dilated = nullptr) const;
+              const VerifyPrecomp& qp, double tau, VerifyStats* stats) const;
 
   /// Verifies a whole candidate list: a tight first pass runs the MBR/cell
   /// filters, then the surviving DP work either runs serially on the calling
@@ -154,37 +119,16 @@ class Verifier {
                           VerifyStats* stats,
                           obs::Tracer* tracer = nullptr) const;
 
-  /// Verifies several queries' candidate lists against one partition in a
-  /// single pass (DESIGN.md §5f). Per member the filter scan, accounting,
-  /// and context charges are identical to a standalone VerifyBatch call;
-  /// the surviving DP work of all members is then merged and swept
-  /// candidate-major — one candidate trajectory's SoA lanes are scored
-  /// against every interested query back to back while they are hot —
-  /// either serially or chunked across `pool` (`min_parallel` applies to
-  /// the merged survivor count). Per-member outputs are deterministic and
-  /// bit-identical to the standalone path; a member whose context stops
-  /// mid-sweep only loses its own remaining DP work (its partial output
-  /// must be discarded by the caller, as everywhere else). The summed
-  /// BatchResult's offloaded_seconds must be charged to the caller's
-  /// cluster task as usual.
-  BatchResult VerifyMulti(const std::vector<VerifyPrecomp>& precomp,
-                          MultiQuery* queries, size_t count, ThreadPool* pool,
-                          size_t min_parallel,
-                          obs::Tracer* tracer = nullptr) const;
-
   const TrajectoryDistance& distance() const { return *distance_; }
 
  private:
-  /// Filter steps (0)-(2) only; updates the prune counters. Step (0) is the
-  /// sketch subset test, active when `dilated` is non-null.
+  /// Filter steps (1)-(2) only; updates the prune counters.
   bool PassesFilters(const VerifyPrecomp& tp, const VerifyPrecomp& qp,
-                     double tau, VerifyStats* stats,
-                     const SigBits* dilated) const;
+                     double tau, VerifyStats* stats) const;
 
   std::shared_ptr<TrajectoryDistance> distance_;
   bool mbr_enabled_;
   bool cell_enabled_;
-  bool sketch_enabled_;
 };
 
 }  // namespace dita

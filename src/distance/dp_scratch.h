@@ -45,11 +45,6 @@ class DpScratch {
   std::vector<uint32_t>& Candidates() { return candidates_; }
   std::vector<uint32_t>& Survivors() { return survivors_; }
   std::vector<uint32_t>& Accepted() { return accepted_; }
-  /// Packed (candidate position << 32 | survivor rank) keys for multi-query
-  /// verification: sorting them groups the DP work candidate-major, so one
-  /// candidate's SoA lanes stay hot while it is scored against every query
-  /// in the batch.
-  std::vector<uint64_t>& Pairs() { return pairs_; }
 
   /// Extract a trajectory into the A/B coordinate lanes. Entry points taking
   /// Trajectory arguments use these; callers holding a precomputed
@@ -83,8 +78,7 @@ class DpScratch {
            flags_.capacity() * sizeof(uint8_t) +
            (candidates_.capacity() + survivors_.capacity() +
             accepted_.capacity()) *
-               sizeof(uint32_t) +
-           pairs_.capacity() * sizeof(uint64_t);
+               sizeof(uint32_t);
   }
 
  private:
@@ -114,7 +108,6 @@ class DpScratch {
   std::vector<uint8_t> flags_;
   std::vector<double> ax_, ay_, bx_, by_;
   std::vector<uint32_t> candidates_, survivors_, accepted_;
-  std::vector<uint64_t> pairs_;
   uint64_t reallocations_ = 0;
   QueryContext* ctx_ = nullptr;
 };

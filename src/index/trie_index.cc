@@ -1,12 +1,9 @@
 #include "index/trie_index.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
-#include "index/batch_scan.h"
 #include "index/soa_planes.h"
 #include "index/str_tile.h"
 #include "util/logging.h"
@@ -38,34 +35,13 @@ TrieIndex::Scratch& TrieIndex::Scratch::ThreadLocal() {
 }
 
 size_t TrieIndex::Scratch::ByteSize() const {
-  return VecBytes(suffix_mbrs) + VecBytes(stack) + VecBytes(survivors) +
-         VecBytes(batch_mbrs) + VecBytes(whole_mbrs) + VecBytes(bstack) +
-         VecBytes(bsurvivors) + VecBytes(states) + VecBytes(tmp_states) +
-         VecBytes(frame_states) + VecBytes(mbr_off) + VecBytes(order) +
-         VecBytes(visits) + VecBytes(qx) + VecBytes(qy) + VecBytes(refs) +
-         VecBytes(keys) + VecBytes(cdist) + VecBytes(dsigs);
+  return VecBytes(suffix_mbrs) + VecBytes(stack) + VecBytes(survivors);
 }
 
 void TrieIndex::Scratch::Release() {
   FreeVec(suffix_mbrs);
   FreeVec(stack);
   FreeVec(survivors);
-  FreeVec(batch_mbrs);
-  FreeVec(whole_mbrs);
-  FreeVec(bstack);
-  FreeVec(bsurvivors);
-  FreeVec(states);
-  FreeVec(tmp_states);
-  FreeVec(frame_states);
-  FreeVec(mbr_off);
-  FreeVec(order);
-  FreeVec(visits);
-  FreeVec(qx);
-  FreeVec(qy);
-  FreeVec(refs);
-  FreeVec(keys);
-  FreeVec(cdist);
-  FreeVec(dsigs);
 }
 
 Status TrieIndex::Build(std::vector<Trajectory> trajectories,
@@ -424,638 +400,6 @@ void TrieIndex::CollectCandidates(const SearchSpec& spec,
   // leaving CancelAfterOps triggers unreachable and time-to-stop unmeasured.
   if (spec.ctx != nullptr && visits_since_check > 0) {
     spec.ctx->CheckPoint(visits_since_check);
-  }
-}
-
-void TrieIndex::CollectCandidatesBatch(BatchQuery* queries, size_t count,
-                                       Scratch* scratch) const {
-  if (count == 0) return;
-  Scratch& s = scratch != nullptr ? *scratch : Scratch::ThreadLocal();
-  if (count == 1) {
-    CollectCandidates(queries[0].spec, queries[0].out, queries[0].stats, &s);
-    return;
-  }
-  const PruneMode mode = queries[0].spec.mode;
-  s.order.clear();
-  for (size_t i = 0; i < count; ++i) {
-    DITA_CHECK(queries[i].spec.query != nullptr);
-    DITA_CHECK(queries[i].out != nullptr);
-    // Budgets and taus may differ per member; the pruning *algebra* may not
-    // (the shared group bound assumes one mode across the batch).
-    DITA_CHECK(queries[i].spec.mode == mode);
-    // Members the single-query path would return early for take no part in
-    // the traversal (no output, no stats, no context charges).
-    if (!trajectories_.empty() && !queries[i].spec.query->empty()) {
-      s.order.push_back(static_cast<uint32_t>(i));
-    }
-  }
-  if (s.order.empty()) return;
-  // Group members whose traversals overlap: queries with nearby first
-  // points survive the same level-0 children, so their alive masks stay
-  // dense through the upper trie and sibling tests are genuinely shared.
-  // Morton order over the root MBR keeps each group a compact square-ish
-  // cluster (a raw x-sort would produce full-height slabs, whose alive
-  // union covers too much area for the group bound to ever prune).
-  const MBR root(Point{xlo_[0], ylo_[0]}, Point{xhi_[0], yhi_[0]});
-  const double sx =
-      root.hi().x > root.lo().x ? 65535.0 / (root.hi().x - root.lo().x) : 0.0;
-  const double sy =
-      root.hi().y > root.lo().y ? 65535.0 / (root.hi().y - root.lo().y) : 0.0;
-  auto morton = [&](const Point& p) {
-    auto q = [](double v) {
-      return static_cast<uint32_t>(std::clamp(v, 0.0, 65535.0));
-    };
-    uint64_t x = q((p.x - root.lo().x) * sx);
-    uint64_t y = q((p.y - root.lo().y) * sy);
-    auto spread = [](uint64_t v) {
-      v = (v | (v << 16)) & 0x0000FFFF0000FFFFull;
-      v = (v | (v << 8)) & 0x00FF00FF00FF00FFull;
-      v = (v | (v << 4)) & 0x0F0F0F0F0F0F0F0Full;
-      v = (v | (v << 2)) & 0x3333333333333333ull;
-      v = (v | (v << 1)) & 0x5555555555555555ull;
-      return v;
-    };
-    return (spread(x) << 1) | spread(y);
-  };
-  // Keys are computed once and carried through the sort (the comparator
-  // must not re-derive them — it runs O(n log n) times). The member index
-  // rides in the low 32 bits, so equal cells stay in submission order.
-  std::vector<uint64_t>& keyed = s.keys;
-  keyed.resize(s.order.size());
-  for (size_t i = 0; i < s.order.size(); ++i) {
-    const uint32_t idx = s.order[i];
-    keyed[i] = (morton(queries[idx].spec.query->front()) << 32) | idx;
-  }
-  std::sort(keyed.begin(), keyed.end());
-  for (size_t i = 0; i < keyed.size(); ++i) {
-    s.order[i] = static_cast<uint32_t>(keyed[i]);
-  }
-  for (size_t g = 0; g < s.order.size(); g += kMaxBatchGroup) {
-    const size_t group_size = std::min(kMaxBatchGroup, s.order.size() - g);
-    CollectGroup(queries, s.order.data() + g, group_size, &s);
-  }
-}
-
-void TrieIndex::CollectGroup(BatchQuery* queries, const uint32_t* members,
-                             size_t group_size, Scratch* s) const {
-  // --- Per-member tables: concatenated suffix-MBR arenas (what TestNode
-  // indexes by suffix_start), whole-query MBRs for the levels whose bound
-  // scans every point, initial (budget, suffix_start) states.
-  const PruneMode mode = queries[members[0]].spec.mode;
-  // Size the arenas up front and overwrite in place. The arenas are not
-  // cleared: clear + resize would default-fill every slot (an MBR memset
-  // per point) just to be overwritten below — measurably ~15% of the whole
-  // batched collect at bench scale. Stale contents from a previous group
-  // are dead: every slot except the per-member empty sentinel is written.
-  size_t total_pts = 0;
-  for (size_t k = 0; k < group_size; ++k) {
-    total_pts += queries[members[k]].spec.query->size();
-  }
-  if (s->batch_mbrs.size() < total_pts + group_size) {
-    s->batch_mbrs.resize(total_pts + group_size);
-  }
-  if (s->qx.size() < total_pts) {
-    s->qx.resize(total_pts);
-    s->qy.resize(total_pts);
-  }
-  s->whole_mbrs.assign(group_size, MBR{});
-  s->mbr_off.assign(group_size, 0);
-  s->visits.assign(group_size, 0);
-  s->frame_states.assign(group_size, QueryState{});
-  s->states.clear();
-  bool any_ctx = false;
-  bool any_stats = false;
-  uint64_t alive0 = 0;
-  size_t base = 0;
-  size_t pbase = 0;
-  for (size_t k = 0; k < group_size; ++k) {
-    const SearchSpec& spec = queries[members[k]].spec;
-    const auto& pts = spec.query->points();
-    s->mbr_off[k] = static_cast<uint32_t>(base);
-    // Suffix-MBR chain, written as an explicit min/max fold (what
-    // MBR::Expand does per call, minus the per-point out-of-line call —
-    // the chain is ~20% of single-query collect time at bench scale), plus
-    // the SoA point copies the vectorized scan kernel reads.
-    s->batch_mbrs[base + pts.size()] = MBR{};  // empty sentinel
-    double lx = kInf, ly = kInf, hx = -kInf, hy = -kInf;
-    for (size_t j = pts.size(); j-- > 0;) {
-      const Point& p = pts[j];
-      s->qx[pbase + j] = p.x;
-      s->qy[pbase + j] = p.y;
-      lx = std::min(lx, p.x);
-      ly = std::min(ly, p.y);
-      hx = std::max(hx, p.x);
-      hy = std::max(hy, p.y);
-      s->batch_mbrs[base + j] = MBR(Point{lx, ly}, Point{hx, hy});
-    }
-    s->whole_mbrs[k] = s->batch_mbrs[base];
-    if (mode == PruneMode::kAccumulate && spec.erp_gap != nullptr) {
-      s->whole_mbrs[k].Expand(*spec.erp_gap);
-    }
-    double budget = spec.tau;
-    if (mode == PruneMode::kEditCount) budget = std::floor(spec.tau);
-    s->states.push_back(QueryState{budget, 0});
-    any_ctx = any_ctx || spec.ctx != nullptr;
-    any_stats = any_stats || queries[members[k]].stats != nullptr;
-    alive0 |= uint64_t{1} << k;
-    base += pts.size() + 1;
-    pbase += pts.size();
-  }
-  // Resolve per-member geometry after the arenas stop growing (the vectors
-  // above may reallocate while members append).
-  s->refs.assign(group_size, MemberRef{});
-  {
-    size_t pbase = 0;
-    for (size_t k = 0; k < group_size; ++k) {
-      const Trajectory& q = *queries[members[k]].spec.query;
-      MemberRef& r = s->refs[k];
-      r.xs = s->qx.data() + pbase;
-      r.ys = s->qy.data() + pbase;
-      r.smbrs = s->batch_mbrs.data() + s->mbr_off[k];
-      r.n = static_cast<uint32_t>(q.size());
-      r.fx = q.front().x;
-      r.fy = q.front().y;
-      r.bx = q.back().x;
-      r.by = q.back().y;
-      pbase += q.size();
-    }
-  }
-  // The two modes whose node test is a pure rectangle-distance gate get the
-  // specialized traversal; edit-count and ERP keep the generic loop below.
-  if (mode == PruneMode::kMax ||
-      (mode == PruneMode::kAccumulate &&
-       queries[members[0]].spec.erp_gap == nullptr)) {
-    CollectGroupFast(queries, members, group_size, s, alive0, any_ctx,
-                     any_stats, mode == PruneMode::kMax);
-    return;
-  }
-
-  // --- Shared DFS. A frame carries the alive bitset and the offset of the
-  // packed per-alive-member states (bit-rank order against frame.alive).
-  // `stopped` accumulates members whose QueryContext fired; they drop out
-  // of every subsequent frame without perturbing the others. Per member,
-  // the subsequence of frames where its bit is set is exactly its
-  // single-query DFS, so outputs, stats, and context charges all match the
-  // standalone path bit for bit.
-  std::vector<BatchFrame>& stack = s->bstack;
-  std::vector<BatchFrame>& survivors = s->bsurvivors;
-  const MBR* mbr_base = s->batch_mbrs.data();
-  stack.clear();
-  stack.push_back(BatchFrame{0, 0, alive0});
-  uint64_t stopped = 0;
-  while (!stack.empty()) {
-    const BatchFrame f = stack.back();
-    stack.pop_back();
-    uint64_t e = f.alive & ~stopped;
-    if (e == 0) continue;
-    if (any_ctx) {
-      // The single-query loop checkpoints at the top of every iteration
-      // once the stride fills; a member's iterations are the frames where
-      // it is alive.
-      for (uint64_t m = e; m != 0; m &= m - 1) {
-        const int k = std::countr_zero(m);
-        QueryContext* ctx = queries[members[k]].spec.ctx;
-        if (ctx != nullptr && s->visits[k] >= kCheckStride) {
-          if (ctx->CheckPoint(s->visits[k])) {
-            stopped |= uint64_t{1} << k;
-          } else {
-            s->visits[k] = 0;
-          }
-        }
-      }
-      e = f.alive & ~stopped;
-      if (e == 0) continue;
-    }
-    const uint32_t cnt = child_count_[f.node];
-    if (cnt == 0) {
-      const uint32_t ib = items_begin_[f.node];
-      const uint32_t ie = items_end_[f.node];
-      for (uint64_t m = e; m != 0; m &= m - 1) {
-        const int k = std::countr_zero(m);
-        BatchQuery& bq = queries[members[k]];
-        if (bq.spec.ctx != nullptr && bq.spec.ctx->ChargeCandidates(ie - ib)) {
-          stopped |= uint64_t{1} << k;
-          continue;
-        }
-        bq.out->insert(bq.out->end(), items_.begin() + ib, items_.begin() + ie);
-      }
-      continue;
-    }
-    const uint32_t fc = first_child_[f.node];
-    const int32_t clevel = level_[fc];
-
-    // Unpack this frame's rank-packed states into the dense per-member
-    // table once; the union pass and every child's member loop then index
-    // it directly instead of re-ranking with popcount per (child, member).
-    {
-      uint32_t idx = 0;
-      QueryState* dense = s->frame_states.data();
-      for (uint64_t m = f.alive; m != 0; m &= m - 1) {
-        dense[std::countr_zero(m)] = s->states[f.state_off + idx++];
-      }
-    }
-
-    // Group bound for this frame's children (siblings share one level): the
-    // union of every alive member's tested point set and the loosest alive
-    // budget. The union rectangle under-estimates each member's own lower
-    // bound, so a child farther than max_budget from it fails every
-    // member's TestNode — one rectangle test prunes it for the whole group.
-    MBR gmbr;
-    double max_budget = -kInf;
-    double max_eps = -kInf;
-    for (uint64_t m = e; m != 0; m &= m - 1) {
-      const int k = std::countr_zero(m);
-      const QueryState& st = s->frame_states[k];
-      const SearchSpec& spec = queries[members[k]].spec;
-      max_budget = std::max(max_budget, st.budget);
-      if (spec.ctx != nullptr) s->visits[k] += cnt;
-      if (mode == PruneMode::kEditCount) {
-        max_eps = std::max(max_eps, spec.epsilon);
-        gmbr.Expand(s->whole_mbrs[k]);
-      } else if (mode == PruneMode::kAccumulate && spec.erp_gap != nullptr) {
-        gmbr.Expand(s->whole_mbrs[k]);
-      } else if (clevel == 0) {
-        gmbr.Expand(spec.query->front());
-      } else if (clevel == 1) {
-        gmbr.Expand(spec.query->back());
-      } else {
-        gmbr.Expand(mbr_base[s->mbr_off[k] + st.suffix_start]);
-      }
-    }
-
-    survivors.clear();
-    for (uint32_t c = fc; c < fc + cnt; ++c) {
-      // Shared prune: sound only where TestNode actually applies a distance
-      // gate — accumulate/edit skip non-chargeable levels entirely, and the
-      // edit mode only fails when the forced edit overdraws every budget.
-      bool prune_all = false;
-      if (mode == PruneMode::kMax || chargeable_[c]) {
-        const double gd =
-            PlaneMinDistRect(xlo_[c], ylo_[c], xhi_[c], yhi_[c], gmbr);
-        prune_all = mode == PruneMode::kEditCount
-                        ? (gd > max_eps && max_budget - 1.0 < 0.0)
-                        : gd > max_budget;
-      }
-      if (prune_all) {
-        if (any_stats) {
-          for (uint64_t m = e; m != 0; m &= m - 1) {
-            ProbeStats* stats = queries[members[std::countr_zero(m)]].stats;
-            if (stats != nullptr) {
-              ++stats->nodes_visited;
-              ++stats->nodes_pruned;
-              stats->pruned_members[static_cast<size_t>(clevel)] +=
-                  subtree_count_[c];
-            }
-          }
-        }
-        continue;
-      }
-      uint64_t child_alive = 0;
-      s->tmp_states.clear();
-      for (uint64_t m = e; m != 0; m &= m - 1) {
-        const int k = std::countr_zero(m);
-        const uint64_t bit = uint64_t{1} << k;
-        QueryState st = s->frame_states[k];
-        const SearchSpec& spec = queries[members[k]].spec;
-        const bool pass = TestNode(c, spec, mbr_base + s->mbr_off[k],
-                                   &st.budget, &st.suffix_start);
-        ProbeStats* stats = queries[members[k]].stats;
-        if (stats != nullptr) {
-          ++stats->nodes_visited;
-          if (!pass) {
-            ++stats->nodes_pruned;
-            stats->pruned_members[static_cast<size_t>(clevel)] +=
-                subtree_count_[c];
-          }
-        }
-        if (pass) {
-          child_alive |= bit;
-          s->tmp_states.push_back(st);
-        }
-      }
-      if (child_alive != 0) {
-        const uint32_t off = static_cast<uint32_t>(s->states.size());
-        s->states.insert(s->states.end(), s->tmp_states.begin(),
-                         s->tmp_states.end());
-        survivors.push_back(BatchFrame{c, off, child_alive});
-      }
-    }
-    for (size_t i = survivors.size(); i-- > 0;) stack.push_back(survivors[i]);
-  }
-  // Per-member sub-stride flush, as at the end of the single-query loop.
-  if (any_ctx) {
-    for (size_t k = 0; k < group_size; ++k) {
-      QueryContext* ctx = queries[members[k]].spec.ctx;
-      if (ctx != nullptr && (stopped & (uint64_t{1} << k)) == 0 &&
-          s->visits[k] > 0) {
-        ctx->CheckPoint(s->visits[k]);
-      }
-    }
-  }
-}
-
-void TrieIndex::CollectGroupFast(BatchQuery* queries, const uint32_t* members,
-                                 size_t group_size, Scratch* s, uint64_t alive0,
-                                 bool any_ctx, bool any_stats,
-                                 bool is_max) const {
-  (void)group_size;
-  const MemberRef* refs = s->refs.data();
-  std::vector<BatchFrame>& stack = s->bstack;
-  std::vector<BatchFrame>& survivors = s->bsurvivors;
-  stack.clear();
-  stack.push_back(BatchFrame{0, 0, alive0});
-  uint64_t stopped = 0;
-  while (!stack.empty()) {
-    const BatchFrame f = stack.back();
-    stack.pop_back();
-    uint64_t e = f.alive & ~stopped;
-    if (e == 0) continue;
-    if (any_ctx) {
-      for (uint64_t m = e; m != 0; m &= m - 1) {
-        const int k = std::countr_zero(m);
-        QueryContext* ctx = queries[members[k]].spec.ctx;
-        if (ctx != nullptr && s->visits[k] >= kCheckStride) {
-          if (ctx->CheckPoint(s->visits[k])) {
-            stopped |= uint64_t{1} << k;
-          } else {
-            s->visits[k] = 0;
-          }
-        }
-      }
-      e = f.alive & ~stopped;
-      if (e == 0) continue;
-    }
-    const uint32_t cnt = child_count_[f.node];
-    if (cnt == 0) {
-      const uint32_t ib = items_begin_[f.node];
-      const uint32_t ie = items_end_[f.node];
-      for (uint64_t m = e; m != 0; m &= m - 1) {
-        const int k = std::countr_zero(m);
-        BatchQuery& bq = queries[members[k]];
-        if (bq.spec.ctx != nullptr && bq.spec.ctx->ChargeCandidates(ie - ib)) {
-          stopped |= uint64_t{1} << k;
-          continue;
-        }
-        bq.out->insert(bq.out->end(), items_.begin() + ib, items_.begin() + ie);
-      }
-      continue;
-    }
-    const uint32_t fc = first_child_[f.node];
-    const int32_t clevel = level_[fc];
-
-    if (any_ctx) {
-      for (uint64_t m = e; m != 0; m &= m - 1) {
-        const int k = std::countr_zero(m);
-        if (queries[members[k]].spec.ctx != nullptr) s->visits[k] += cnt;
-      }
-    }
-
-    // Singleton frames — one member alive, the common case once the
-    // members' traversals diverge — skip every per-frame group structure:
-    // no union bound, no bit loops, no dense state unpack (the one packed
-    // state is read directly at its bit rank), and passing children go onto
-    // the stack in reverse child order with no survivors staging.
-    const bool grouped = (e & (e - 1)) != 0;
-    if (!grouped) {
-      const int k = std::countr_zero(e);
-      const QueryState base_st =
-          s->states[f.state_off +
-                    std::popcount(f.alive & ((uint64_t{1} << k) - 1))];
-      const MemberRef& r = refs[k];
-      ProbeStats* stats =
-          any_stats ? queries[members[k]].stats : nullptr;
-      // The member's tested rect — front/back point or its current suffix
-      // MBR — is the same for every sibling of this frame, and the child
-      // planes are contiguous SoA lanes, so one vectorized sweep computes
-      // every sibling's test distance (the level >= 2 sweep yields the
-      // O(1) rectangle pre-test; only children passing it get a scan).
-      if (s->cdist.size() < cnt) s->cdist.resize(cnt);
-      double* cd = s->cdist.data();
-      bool have_dist = true;
-      if (clevel == 0) {
-        ChildPlaneDists(xlo_.data() + fc, ylo_.data() + fc, xhi_.data() + fc,
-                        yhi_.data() + fc, cnt, r.fx, r.fy, r.fx, r.fy, cd);
-      } else if (clevel == 1) {
-        ChildPlaneDists(xlo_.data() + fc, ylo_.data() + fc, xhi_.data() + fc,
-                        yhi_.data() + fc, cnt, r.bx, r.by, r.bx, r.by, cd);
-      } else {
-        const MBR& sm = r.smbrs[base_st.suffix_start];
-        if (sm.empty()) {
-          have_dist = false;  // pre-test distance is +inf for every child
-        } else {
-          ChildPlaneDists(xlo_.data() + fc, ylo_.data() + fc,
-                          xhi_.data() + fc, yhi_.data() + fc, cnt, sm.hi().x,
-                          sm.hi().y, sm.lo().x, sm.lo().y, cd);
-        }
-      }
-      for (uint32_t c = fc + cnt; c-- > fc;) {
-        QueryState st = base_st;
-        bool pass;
-        if (!is_max && chargeable_[c] == 0) {
-          pass = true;
-        } else if (clevel <= 1) {
-          const double d = cd[c - fc];
-          pass = d <= st.budget;
-          if (pass && !is_max) st.budget -= d;
-        } else {
-          const double rd = have_dist ? cd[c - fc] : kInf;
-          if (rd > st.budget) {
-            pass = false;
-          } else {
-            const double limit = st.budget;
-            const double limit_sq_ub = limit * limit * (1.0 + 1e-14);
-            const SuffixScanResult sr =
-                SuffixScan(r.xs, r.ys, st.suffix_start, r.n, xlo_[c], ylo_[c],
-                           xhi_[c], yhi_[c], limit, limit_sq_ub);
-            if (sr.first_within != r.n) {
-              st.suffix_start = static_cast<uint32_t>(sr.first_within);
-            }
-            const double d = std::sqrt(sr.best_sq);
-            pass = d <= st.budget;
-            if (pass && !is_max) st.budget -= d;
-          }
-        }
-        if (stats != nullptr) {
-          ++stats->nodes_visited;
-          if (!pass) {
-            ++stats->nodes_pruned;
-            stats->pruned_members[static_cast<size_t>(clevel)] +=
-                subtree_count_[c];
-          }
-        }
-        if (pass) {
-          const uint32_t off = static_cast<uint32_t>(s->states.size());
-          s->states.push_back(st);
-          stack.push_back(BatchFrame{c, off, e});
-        }
-      }
-      continue;
-    }
-
-    // One rank-ordered unpack of this frame's packed states into the dense
-    // per-member lane; the union pass and every child's member loop below
-    // index it directly.
-    {
-      uint32_t idx = 0;
-      QueryState* dense = s->frame_states.data();
-      for (uint64_t m = f.alive; m != 0; m &= m - 1) {
-        dense[std::countr_zero(m)] = s->states[f.state_off + idx++];
-      }
-    }
-
-    // Group bound over the alive members' tested sets (front points, back
-    // points, or current suffix rectangles) and the loosest alive budget.
-    // Each member's own test distance is >= the distance to this union, so
-    // one child-vs-union rectangle test can prune the child for the whole
-    // group (gd > max_budget) — or for one member with a single compare
-    // (gd > that member's budget) before its full test runs. Singleton
-    // frames never reach here — the union would just re-state the one
-    // member's own bound at extra cost.
-    double gxlo = kInf, gylo = kInf, gxhi = -kInf, gyhi = -kInf;
-    double max_budget = -kInf;
-    if (grouped) {
-      for (uint64_t m = e; m != 0; m &= m - 1) {
-        const int k = std::countr_zero(m);
-        const QueryState& st = s->frame_states[k];
-        max_budget = std::max(max_budget, st.budget);
-        if (clevel == 0) {
-          const MemberRef& r = refs[k];
-          gxlo = std::min(gxlo, r.fx);
-          gylo = std::min(gylo, r.fy);
-          gxhi = std::max(gxhi, r.fx);
-          gyhi = std::max(gyhi, r.fy);
-        } else if (clevel == 1) {
-          const MemberRef& r = refs[k];
-          gxlo = std::min(gxlo, r.bx);
-          gylo = std::min(gylo, r.by);
-          gxhi = std::max(gxhi, r.bx);
-          gyhi = std::max(gyhi, r.by);
-        } else {
-          const MBR& sm = refs[k].smbrs[st.suffix_start];
-          gxlo = std::min(gxlo, sm.lo().x);
-          gylo = std::min(gylo, sm.lo().y);
-          gxhi = std::max(gxhi, sm.hi().x);
-          gyhi = std::max(gyhi, sm.hi().y);
-        }
-      }
-    }
-
-    // One vectorized sweep computes every sibling's distance to the union
-    // rect; the per-child loop below reads it for the group prune and the
-    // per-member budget shortcut.
-    if (s->cdist.size() < cnt) s->cdist.resize(cnt);
-    double* gdist = s->cdist.data();
-    ChildPlaneDists(xlo_.data() + fc, ylo_.data() + fc, xhi_.data() + fc,
-                    yhi_.data() + fc, cnt, gxhi, gyhi, gxlo, gylo, gdist);
-
-    survivors.clear();
-    for (uint32_t c = fc; c < fc + cnt; ++c) {
-      const double xlo = xlo_[c], ylo = ylo_[c];
-      const double xhi = xhi_[c], yhi = yhi_[c];
-      // Accumulate skips non-chargeable levels entirely; max always tests.
-      const bool gated = is_max || chargeable_[c] != 0;
-      double gd = 0.0;
-      if (gated) {
-        gd = gdist[c - fc];
-        if (gd > max_budget) {
-          if (any_stats) {
-            for (uint64_t m = e; m != 0; m &= m - 1) {
-              ProbeStats* stats = queries[members[std::countr_zero(m)]].stats;
-              if (stats != nullptr) {
-                ++stats->nodes_visited;
-                ++stats->nodes_pruned;
-                stats->pruned_members[static_cast<size_t>(clevel)] +=
-                    subtree_count_[c];
-              }
-            }
-          }
-          continue;
-        }
-      }
-      uint64_t child_alive = 0;
-      s->tmp_states.clear();
-      for (uint64_t m = e; m != 0; m &= m - 1) {
-        const int k = std::countr_zero(m);
-        QueryState st = s->frame_states[k];
-        const MemberRef& r = refs[k];
-        bool pass;
-        if (!gated) {
-          // Non-chargeable accumulate level: TestNode returns true with the
-          // state untouched.
-          pass = true;
-        } else if (grouped && gd > st.budget) {
-          // This member's own test distance is >= gd, so it must fail; skip
-          // the full test (same outcome, one compare).
-          pass = false;
-        } else if (clevel == 0) {
-          const double dx = std::max({xlo - r.fx, 0.0, r.fx - xhi});
-          const double dy = std::max({ylo - r.fy, 0.0, r.fy - yhi});
-          const double d = std::sqrt(dx * dx + dy * dy);
-          pass = d <= st.budget;
-          if (pass && !is_max) st.budget -= d;
-        } else if (clevel == 1) {
-          const double dx = std::max({xlo - r.bx, 0.0, r.bx - xhi});
-          const double dy = std::max({ylo - r.by, 0.0, r.by - yhi});
-          const double d = std::sqrt(dx * dx + dy * dy);
-          pass = d <= st.budget;
-          if (pass && !is_max) st.budget -= d;
-        } else {
-          // Pivot level: O(1) suffix-rectangle pre-test, then the suffix
-          // scan (vectorized; bit-identical to SuffixMinDist).
-          const MBR& sm = r.smbrs[st.suffix_start];
-          double rd = kInf;
-          if (!sm.empty()) {
-            const double dx = std::max({xlo - sm.hi().x, 0.0, sm.lo().x - xhi});
-            const double dy = std::max({ylo - sm.hi().y, 0.0, sm.lo().y - yhi});
-            rd = std::sqrt(dx * dx + dy * dy);
-          }
-          if (rd > st.budget) {
-            pass = false;
-          } else {
-            const double limit = st.budget;
-            const double limit_sq_ub = limit * limit * (1.0 + 1e-14);
-            const SuffixScanResult sr =
-                SuffixScan(r.xs, r.ys, st.suffix_start, r.n, xlo, ylo, xhi,
-                           yhi, limit, limit_sq_ub);
-            if (sr.first_within != r.n) {
-              st.suffix_start = static_cast<uint32_t>(sr.first_within);
-            }
-            const double d = std::sqrt(sr.best_sq);
-            pass = d <= st.budget;
-            if (pass && !is_max) st.budget -= d;
-          }
-        }
-        if (any_stats) {
-          ProbeStats* stats = queries[members[k]].stats;
-          if (stats != nullptr) {
-            ++stats->nodes_visited;
-            if (!pass) {
-              ++stats->nodes_pruned;
-              stats->pruned_members[static_cast<size_t>(clevel)] +=
-                  subtree_count_[c];
-            }
-          }
-        }
-        if (pass) {
-          child_alive |= uint64_t{1} << k;
-          s->tmp_states.push_back(st);
-        }
-      }
-      if (child_alive != 0) {
-        const uint32_t off = static_cast<uint32_t>(s->states.size());
-        s->states.insert(s->states.end(), s->tmp_states.begin(),
-                         s->tmp_states.end());
-        survivors.push_back(BatchFrame{c, off, child_alive});
-      }
-    }
-    for (size_t i = survivors.size(); i-- > 0;) stack.push_back(survivors[i]);
-  }
-  if (any_ctx) {
-    for (uint64_t m = alive0 & ~stopped; m != 0; m &= m - 1) {
-      const int k = std::countr_zero(m);
-      QueryContext* ctx = queries[members[k]].spec.ctx;
-      if (ctx != nullptr && s->visits[k] > 0) ctx->CheckPoint(s->visits[k]);
-    }
   }
 }
 

@@ -7,7 +7,6 @@
 #include "distance/distance.h"
 #include "geom/trajectory.h"
 #include "index/pivot.h"
-#include "index/signature.h"
 #include "util/query_context.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -27,10 +26,7 @@ namespace dita {
 /// global items array laid out in DFS order. CollectCandidates is an
 /// iterative, allocation-free traversal over these arrays; the recursive
 /// formulation is kept as CollectCandidatesReference, the equivalence
-/// oracle for tests. CollectCandidatesBatch (DESIGN.md §5f) walks the same
-/// arrays once for a whole group of queries, sharing sibling MBR loads and
-/// group-level prune tests across the batch while emitting per-query
-/// candidate vectors bit-identical to the single-query path.
+/// oracle for tests.
 class TrieIndex {
  public:
   struct Options {
@@ -108,46 +104,13 @@ class TrieIndex {
     double budget;
   };
 
-  /// One batch member's per-path state, the (budget, suffix_start) pair a
-  /// Frame carries in the single-query traversal. Batch frames store one of
-  /// these per still-alive member, packed in alive-bit rank order inside a
-  /// per-traversal arena.
-  struct QueryState {
-    double budget;
-    uint32_t suffix_start;
-  };
-
-  /// A batched traversal frame: a node that passed for at least one member,
-  /// the bitset of members it passed for, and the offset of their packed
-  /// QueryStates in the traversal's state arena.
-  struct BatchFrame {
-    uint32_t node;
-    uint32_t state_off;
-    uint64_t alive;
-  };
-
-  /// Per-member geometry the fast batched traversal reads in its inner
-  /// loops, resolved once per group: SoA copies of the query points (what
-  /// the vectorized suffix scan consumes), the member's suffix-MBR table,
-  /// and the front/back points the two align levels test. Pointers alias
-  /// the group's Scratch arenas, which do not grow during a traversal.
-  struct MemberRef {
-    const double* xs = nullptr;
-    const double* ys = nullptr;
-    const MBR* smbrs = nullptr;
-    uint32_t n = 0;
-    double fx = 0.0, fy = 0.0;  // query front point
-    double bx = 0.0, by = 0.0;  // query back point
-  };
-
  public:
-  /// Reusable traversal scratch shared by CollectCandidates and
-  /// CollectCandidatesBatch. This replaces the function-local
-  /// `static thread_local` buffers the single-query path used to hide:
-  /// ownership is now explicit, so callers can hold one scratch per worker,
-  /// measure it (ByteSize), and Release() it between bursts instead of
-  /// every thread retaining the high-water mark of its largest query until
-  /// thread exit. Passing nullptr to the traversals falls back to
+  /// Reusable traversal scratch for CollectCandidates. This replaces the
+  /// function-local `static thread_local` buffers the traversal used to
+  /// hide: ownership is now explicit, so callers can hold one scratch per
+  /// worker, measure it (ByteSize), and Release() it between bursts instead
+  /// of every thread retaining the high-water mark of its largest query
+  /// until thread exit. Passing nullptr to the traversal falls back to
   /// ThreadLocal(), preserving the old zero-ceremony behavior.
   class Scratch {
    public:
@@ -165,63 +128,14 @@ class TrieIndex {
     /// re-grows them from scratch.
     void Release();
 
-    /// Grow-once arena of per-member dilated query signatures, used by the
-    /// engine's batched search to avoid a per-batch allocation (DESIGN.md
-    /// §5g). Counted by ByteSize and freed by Release like the traversal
-    /// buffers.
-    std::vector<SigBits>& DilatedSigs() { return dsigs; }
-
    private:
     friend class TrieIndex;
 
-    // Single-query traversal: suffix_mbrs[j] covers query points [j, n).
+    // suffix_mbrs[j] covers query points [j, n).
     std::vector<MBR> suffix_mbrs;
     std::vector<Frame> stack;
     std::vector<Frame> survivors;
-
-    // Batched traversal. batch_mbrs concatenates every member's suffix-MBR
-    // table (mbr_off indexes it); states is the monotone per-traversal
-    // QueryState arena BatchFrames point into.
-    std::vector<MBR> batch_mbrs;
-    std::vector<MBR> whole_mbrs;  // per member: all points (+ ERP gap)
-    std::vector<BatchFrame> bstack;
-    std::vector<BatchFrame> bsurvivors;
-    std::vector<QueryState> states;
-    std::vector<QueryState> tmp_states;
-    std::vector<QueryState> frame_states;  // dense by member, one frame
-    std::vector<uint32_t> mbr_off;
-    std::vector<uint32_t> order;   // member order, grouped by first point
-    std::vector<uint32_t> visits;  // per member, since last ctx checkpoint
-    // Fast-path lanes: SoA query points (concatenated per member, the
-    // vectorized suffix scan's input) and the resolved per-member geometry.
-    std::vector<double> qx;
-    std::vector<double> qy;
-    std::vector<MemberRef> refs;
-    std::vector<uint64_t> keys;  // Morton sort keys (index in the low bits)
-    std::vector<double> cdist;   // per-sibling distances, one frame at a time
-    std::vector<SigBits> dsigs;  // per-member dilated sketches (engine batch)
   };
-
-  /// One member of a batched traversal. All members of one
-  /// CollectCandidatesBatch call must share the spec fields that pick the
-  /// pruning algebra (mode, epsilon, lcss_delta, erp_gap); query, tau, ctx
-  /// and the out/stats sinks are per member. `stats`, when non-null, must be
-  /// Reset(num_levels()) by the caller and receives exactly the counters a
-  /// single-query CollectCandidates call would have produced.
-  struct BatchQuery {
-    SearchSpec spec;
-    std::vector<uint32_t>* out = nullptr;
-    ProbeStats* stats = nullptr;
-  };
-
-  /// Members per shared-traversal group; the alive set is a uint64 bitset,
-  /// so 64 is the ceiling. Larger batches are split into groups of this
-  /// size after the Morton sort. Kept well below the bitset ceiling: the
-  /// group bound only pays while the members' union stays spatially tight,
-  /// and a big group's union rectangle covers so much area that its prune
-  /// tests never fire while their per-frame upkeep still gets paid
-  /// (measured in BENCH_micro_filter's batch sweep).
-  static constexpr size_t kMaxBatchGroup = 8;
 
   /// Minimum build items per pool thread before Build fans work out to the
   /// pool. Below this the chunk dispatch and cross-thread cache traffic
@@ -257,20 +171,6 @@ class TrieIndex {
                          ProbeStats* stats = nullptr,
                          Scratch* scratch = nullptr) const;
 
-  /// Collects candidates for a whole group of queries in one traversal
-  /// (DESIGN.md §5f). Members are sorted by their query's first point and
-  /// split into groups of kMaxBatchGroup; each group walks the trie once
-  /// with a per-frame bitset of still-alive members, so sibling MBR planes
-  /// are loaded once per node and a node provably too far from *every*
-  /// alive member is pruned with a single group-level rectangle test.
-  /// Per member, the emitted candidate vector, the ProbeStats counters, and
-  /// the QueryContext charges are exactly those of a standalone
-  /// CollectCandidates call; a member whose ctx stops mid-traversal is
-  /// dropped from the alive sets without perturbing the others (its partial
-  /// output must be discarded by the caller, as in the single-query path).
-  void CollectCandidatesBatch(BatchQuery* queries, size_t count,
-                              Scratch* scratch = nullptr) const;
-
   /// The recursive reference traversal — the pre-flattening implementation
   /// ported onto the flat arrays, kept as the oracle for the equivalence
   /// tests. Not used on hot paths.
@@ -304,24 +204,6 @@ class TrieIndex {
   /// suffix-MBR table (suffix_mbrs[j] covers query points [j, n)).
   bool TestNode(uint32_t n, const SearchSpec& spec, const MBR* suffix_mbrs,
                 double* budget, uint32_t* suffix_start) const;
-
-  /// Runs one group (<= kMaxBatchGroup members, given by `members` indices
-  /// into `queries`) through the shared traversal. Sets up the per-member
-  /// arenas, then dispatches to the specialized traversal for the two modes
-  /// whose node test is a pure rectangle-distance gate (accumulate without
-  /// an ERP gap, and max); edit-count and ERP keep the generic loop.
-  void CollectGroup(BatchQuery* queries, const uint32_t* members,
-                    size_t group_size, Scratch* s) const;
-
-  /// The specialized shared traversal (DESIGN.md §5f): inlined node tests
-  /// over the resolved MemberRef geometry, a vectorized suffix scan at the
-  /// pivot levels, and a per-frame group bound that prunes a child for the
-  /// whole group — or for an individual member, with one compare — before
-  /// any per-member test runs. Emits bit-identical outputs to the generic
-  /// loop (which in turn matches CollectCandidates member for member).
-  void CollectGroupFast(BatchQuery* queries, const uint32_t* members,
-                        size_t group_size, Scratch* s, uint64_t alive0,
-                        bool any_ctx, bool any_stats, bool is_max) const;
 
   void SearchNodeReference(uint32_t n, const SearchSpec& spec,
                            const MBR* suffix_mbrs, double budget,

@@ -17,13 +17,13 @@ namespace dita::obs {
 /// there is no unaccounted time and no double counting. The phases:
 ///
 ///   queue      Submit enqueue -> executor pickup (0 for synchronous
-///              Execute), plus any coalescing linger.
+///              Execute).
 ///   admission  scheduler/gate Acquire: queue-wait for slots, including
 ///              the wait before a shed.
 ///   cache      answer-cache key derivation + lookup (and store).
 ///   pin        snapshot pin: epoch/version resolution.
 ///   base       filter+verify over the immutable base index (the
-///              sketch/trie/verify funnel, or join terms over the base).
+///              trie/verify funnel, or join terms over the base).
 ///   delta      unmerged-insert scan + deleted filtering.
 ///   finalize   sort/dedup, stats, explain, cache store.
 ///
@@ -38,7 +38,6 @@ namespace dita::obs {
 struct RequestRecord {
   // Flags bits.
   static constexpr uint8_t kCacheHit = 1 << 0;
-  static constexpr uint8_t kCoalesced = 1 << 1;  // served via a batch
   static constexpr uint8_t kDegraded = 1 << 2;   // partial under budget/stop
   static constexpr uint8_t kShed = 1 << 3;       // rejected at admission
   static constexpr uint8_t kAsync = 1 << 4;      // arrived via Submit
@@ -64,7 +63,6 @@ struct RequestRecord {
   double merge_overlap_seconds = 0.0;
 
   bool cache_hit() const { return (flags & kCacheHit) != 0; }
-  bool coalesced() const { return (flags & kCoalesced) != 0; }
   bool degraded() const { return (flags & kDegraded) != 0; }
   bool shed() const { return (flags & kShed) != 0; }
 

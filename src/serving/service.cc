@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -32,10 +31,10 @@ uint64_t MixFold(uint64_t h, uint64_t v) {
   return h;
 }
 
-uint64_t DoubleBits(double d) {
-  uint64_t b = 0;
-  std::memcpy(&b, &d, sizeof(b));
-  return b;
+void AppendWord(std::string* out, uint64_t v) {
+  char buf[sizeof(v)];
+  std::memcpy(buf, &v, sizeof(v));
+  out->append(buf, sizeof(v));
 }
 
 // Approximate resident bytes of a snapshot's unmerged delta: insert points
@@ -61,20 +60,29 @@ const char* KindName(uint8_t kind) {
 
 }  // namespace
 
-AnswerCache::Key AnswerCache::KeyFor(const QueryRequest& req) {
+std::string AnswerCache::RequestBytes(const QueryRequest& req) {
+  std::string out;
+  out.reserve((5 + 2 * req.query.size()) * sizeof(uint64_t));
+  AppendWord(&out, static_cast<uint64_t>(req.kind));
+  AppendWord(&out, std::bit_cast<uint64_t>(req.tau));
+  AppendWord(&out, req.k);
+  AppendWord(&out, req.collect_stats ? 1 : 0);
+  AppendWord(&out, req.query.size());
+  for (const Point& p : req.query.points()) {
+    AppendWord(&out, std::bit_cast<uint64_t>(p.x));
+    AppendWord(&out, std::bit_cast<uint64_t>(p.y));
+  }
+  return out;
+}
+
+AnswerCache::Key AnswerCache::KeyOf(std::string_view bytes) {
   Key k{0x2545f4914f6cdd1dull, 0x6a09e667f3bcc909ull};
-  const auto fold = [&k](uint64_t v) {
+  for (size_t i = 0; i + sizeof(uint64_t) <= bytes.size();
+       i += sizeof(uint64_t)) {
+    uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + i, sizeof(v));
     k.h1 = MixFold(k.h1, v);
     k.h2 = MixFold(k.h2, k.h1 ^ v);
-  };
-  fold(static_cast<uint64_t>(req.kind));
-  fold(DoubleBits(req.tau));
-  fold(req.k);
-  fold(req.collect_stats ? 1 : 0);
-  fold(req.query.size());
-  for (const Point& p : req.query.points()) {
-    fold(DoubleBits(p.x));
-    fold(DoubleBits(p.y));
   }
   return k;
 }
@@ -88,11 +96,12 @@ void AnswerCache::Configure(size_t capacity, obs::MetricsRegistry* metrics) {
   m_invalidations_ = {metrics, "serving.cache.invalidations"};
 }
 
-bool AnswerCache::Lookup(const Key& key, uint64_t version, QueryResult* out) {
+bool AnswerCache::Lookup(const Key& key, std::string_view request,
+                         uint64_t version, QueryResult* out) {
   if (capacity_ == 0) return false;
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(key);
-  if (it == index_.end()) {
+  if (it == index_.end() || it->second->request != request) {
     misses_.fetch_add(1);
     m_misses_.Increment();
     return false;
@@ -113,18 +122,19 @@ bool AnswerCache::Lookup(const Key& key, uint64_t version, QueryResult* out) {
   return true;
 }
 
-void AnswerCache::Store(const Key& key, uint64_t version,
+void AnswerCache::Store(const Key& key, std::string request, uint64_t version,
                         const QueryResult& res) {
   if (capacity_ == 0) return;
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(key);
   if (it != index_.end()) {
+    it->second->request = std::move(request);
     it->second->version = version;
     it->second->result = res;
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  lru_.push_front(Entry{key, version, res});
+  lru_.push_front(Entry{key, std::move(request), version, res});
   index_[key] = lru_.begin();
   while (lru_.size() > capacity_) {
     index_.erase(lru_.back().key);
@@ -176,8 +186,6 @@ DitaService::DitaService(std::shared_ptr<Cluster> cluster,
   m_merges_ = {metrics_, "serving.merges"};
   m_queries_ = {metrics_, "serving.queries"};
   m_delta_scanned_ = {metrics_, "serving.delta.scanned"};
-  m_coalesced_queries_ = {metrics_, "serving.batch.coalesced"};
-  h_batch_size_ = {metrics_, "serving.batch.size", obs::CountOptions()};
   h_latency_search_ = {metrics_, "serving.latency.search_seconds",
                        obs::LatencyOptions()};
   h_latency_join_ = {metrics_, "serving.latency.join_seconds",
@@ -291,13 +299,6 @@ Status DitaService::Insert(const Trajectory& t) {
     auto next = std::make_shared<TableSnapshot>(*cur);
     next->version = cur->version + 1;
     next->inserts.push_back(t);
-    // Quantize the delta sketch once, here, in the epoch base's frame; the
-    // delta scan of every future query reuses it (all-zero when the base
-    // has no sketch tier, which also disables the scan-side test).
-    next->insert_sigs.emplace_back();
-    if (cur->base != nullptr && cur->base->SketchActive()) {
-      next->insert_sigs.back() = BuildSignature(t, cur->base->sig_grid());
-    }
     if (merging_) op_log_.push_back(Op{true, t, -1});
     {
       std::lock_guard<std::mutex> slock(snap_mu_);
@@ -328,8 +329,6 @@ Status DitaService::Delete(TrajectoryId id) {
         [id](const Trajectory& t) { return t.id() == id; });
     if (it != next->inserts.end()) {
       // A pending insert dies in the buffer; it never reaches `deleted`.
-      next->insert_sigs.erase(next->insert_sigs.begin() +
-                              (it - next->inserts.begin()));
       next->inserts.erase(it);
     } else if (cur->InBase(id) && cur->deleted.count(id) == 0) {
       next->deleted.insert(id);
@@ -453,13 +452,6 @@ Status DitaService::MergeOnce() {
     // the new base keeps the live set identical across the publish.
     for (Op& op : op_log_) {
       if (op.is_insert) {
-        // The replayed insert belongs to the *new* epoch's delta, so its
-        // sketch must be quantized in the new base's frame.
-        next->insert_sigs.emplace_back();
-        if (next->base != nullptr && next->base->SketchActive()) {
-          next->insert_sigs.back() =
-              BuildSignature(op.insert, next->base->sig_grid());
-        }
         next->inserts.push_back(std::move(op.insert));
         continue;
       }
@@ -467,8 +459,6 @@ Status DitaService::MergeOnce() {
           next->inserts.begin(), next->inserts.end(),
           [&op](const Trajectory& t) { return t.id() == op.erase; });
       if (it != next->inserts.end()) {
-        next->insert_sigs.erase(next->insert_sigs.begin() +
-                                (it - next->inserts.begin()));
         next->inserts.erase(it);
       } else if (next->base_ids->count(op.erase) > 0) {
         next->deleted.insert(op.erase);
@@ -641,15 +631,17 @@ Result<QueryResult> DitaService::ExecuteInternal(const QueryRequest& req,
   // the scheduler and the engine entirely. Joins are never cached (their
   // answer depends on a second table's state), nor are context-carrying
   // requests (a deadline/budget can degrade the answer).
+  std::string cbytes;
   AnswerCache::Key ckey;
   const bool cacheable =
       answer_cache_.enabled() && req.ctx == nullptr &&
       req.kind != QueryKind::kJoin && req.join_right == nullptr &&
       req.join_right_service == nullptr;
   if (cacheable) {
-    ckey = AnswerCache::KeyFor(req);
+    cbytes = AnswerCache::RequestBytes(req);
+    ckey = AnswerCache::KeyOf(cbytes);
     QueryResult hit;
-    const bool got = answer_cache_.Lookup(ckey, Pin()->version, &hit);
+    const bool got = answer_cache_.Lookup(ckey, cbytes, Pin()->version, &hit);
     const double now = NowSeconds();
     rec.cache_seconds = now - last;
     last = now;
@@ -761,7 +753,7 @@ Result<QueryResult> DitaService::ExecuteInternal(const QueryRequest& req,
   // makes a Store racing a publish harmless (Lookup rejects it).
   if (cacheable && res->search_stats.termination.ok() &&
       res->search_stats.completeness >= 1.0) {
-    answer_cache_.Store(ckey, snap->version, *res);
+    answer_cache_.Store(ckey, std::move(cbytes), snap->version, *res);
   }
   FinishRequest(&rec, NowSeconds(), &res);
   return res;
@@ -789,410 +781,39 @@ void DitaService::ExecutorLoop(size_t executor_index) {
   // Every span / instant this thread emits lands on its own serving lane
   // ("serving.exec N" in the exported trace).
   obs::Tracer::ScopedLane lane(obs::ServingExecutorLane(executor_index));
-  const size_t max_batch = std::max<size_t>(1, config_.serving.max_batch_size);
   while (true) {
-    std::vector<Job> batch;
+    Job job;
     {
       std::unique_lock<std::mutex> lock(jobs_mu_);
       jobs_cv_.wait(lock,
                     [this] { return !jobs_.empty() || stop_.load(); });
       if (jobs_.empty()) return;  // stop_ with an empty queue
-      batch.push_back(std::move(jobs_.front()));
+      job = std::move(jobs_.front());
       jobs_.pop_front();
-      if (max_batch > 1 && Coalescible(batch.front().req)) {
-        // Coalesce the FIFO *prefix* of compatible queued requests —
-        // stopping at the first incompatible one preserves submission
-        // order across the batch boundary.
-        while (batch.size() < max_batch && !jobs_.empty() &&
-               Coalescible(jobs_.front().req)) {
-          batch.push_back(std::move(jobs_.front()));
-          jobs_.pop_front();
-        }
-        if (batch.size() < max_batch && jobs_.empty() && !stop_.load() &&
-            config_.serving.batch_window_seconds > 0.0) {
-          // Linger briefly for more compatible work; an incompatible
-          // arrival or the window expiring closes the batch.
-          const auto deadline =
-              std::chrono::steady_clock::now() +
-              std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                  std::chrono::duration<double>(
-                      config_.serving.batch_window_seconds));
-          while (batch.size() < max_batch && !stop_.load()) {
-            const bool woke = jobs_cv_.wait_until(
-                lock, deadline,
-                [this] { return !jobs_.empty() || stop_.load(); });
-            if (!woke || stop_.load()) break;  // window expired or stopping
-            if (jobs_.empty() || !Coalescible(jobs_.front().req)) break;
-            batch.push_back(std::move(jobs_.front()));
-            jobs_.pop_front();
-          }
-        }
-      }
       g_queue_depth_.Set(static_cast<int64_t>(jobs_.size()));
     }
-    if (batch.size() == 1) {
-      Job& j = batch.front();
-      j.promise.set_value(ExecuteInternal(j.req, j.enqueue_seconds,
+    job.promise.set_value(ExecuteInternal(job.req, job.enqueue_seconds,
                                           obs::RequestRecord::kAsync));
-      continue;
-    }
-    coalesced_batches_.fetch_add(1);
-    coalesced_queries_.fetch_add(batch.size());
-    m_coalesced_queries_.Add(batch.size());
-    h_batch_size_.Observe(static_cast<double>(batch.size()));
-    std::vector<QueryRequest> reqs;
-    std::vector<double> arrivals;
-    reqs.reserve(batch.size());
-    arrivals.reserve(batch.size());
-    for (Job& j : batch) {
-      reqs.push_back(std::move(j.req));
-      arrivals.push_back(j.enqueue_seconds);
-    }
-    std::vector<Result<QueryResult>> results =
-        ExecuteBatchInternal(reqs, arrivals, obs::RequestRecord::kAsync);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      batch[i].promise.set_value(std::move(results[i]));
-    }
   }
-}
-
-std::vector<Result<QueryResult>> DitaService::ExecuteBatch(
-    const std::vector<QueryRequest>& reqs) const {
-  return ExecuteBatchInternal(reqs, {}, 0);
-}
-
-std::vector<Result<QueryResult>> DitaService::ExecuteBatchInternal(
-    const std::vector<QueryRequest>& reqs, const std::vector<double>& arrivals,
-    uint8_t extra_flags) const {
-  const double t_pickup = NowSeconds();
-  const auto arrival_of = [&](size_t i) {
-    return i < arrivals.size() ? arrivals[i] : t_pickup;
-  };
-  std::vector<Result<QueryResult>> out;
-  out.reserve(reqs.size());
-  for (size_t i = 0; i < reqs.size(); ++i) {
-    out.push_back(
-        Result<QueryResult>(Status::Internal("batch slot not filled")));
-  }
-  if (reqs.empty()) return out;
-  if (!started_) {
-    for (auto& r : out) r = Status::Internal("DitaService used before Start");
-    return out;
-  }
-  // Joins and kNN take the standalone path with their own grants; only
-  // threshold searches share the batch machinery. Cache hits peel off
-  // before admission, exactly as in Execute — each hit is individually
-  // consistent with the version it was stored against.
-  std::vector<size_t> members;
-  const bool cache_on = answer_cache_.enabled();
-  const uint64_t look_version = cache_on ? Pin()->version : 0;
-  for (size_t i = 0; i < reqs.size(); ++i) {
-    if (!Coalescible(reqs[i])) {
-      out[i] = ExecuteInternal(reqs[i], arrival_of(i), extra_flags);
-      continue;
-    }
-    if (cache_on && reqs[i].ctx == nullptr) {
-      QueryResult hit;
-      const bool got = answer_cache_.Lookup(AnswerCache::KeyFor(reqs[i]),
-                                            look_version, &hit);
-      if (tracer_ != nullptr) {
-        tracer_->Instant(got ? "serving.cache.hit" : "serving.cache.miss",
-                         obs::kCacheLane);
-      }
-      if (got) {
-        obs::RequestRecord rec;
-        rec.request_id =
-            request_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-        rec.kind = static_cast<uint8_t>(reqs[i].kind);
-        rec.flags = extra_flags | obs::RequestRecord::kCacheHit;
-        rec.arrival_seconds = arrival_of(i);
-        rec.merge_overlap_seconds = MergeBusyAt(rec.arrival_seconds);
-        rec.queue_seconds = t_pickup - rec.arrival_seconds;
-        rec.cache_seconds = NowSeconds() - t_pickup;
-        m_queries_.Increment();
-        if (reqs[i].collect_stats) RecordExplain(hit);
-        Result<QueryResult> r(std::move(hit));
-        FinishRequest(&rec, NowSeconds(), &r);
-        out[i] = std::move(r);
-        continue;
-      }
-    }
-    members.push_back(i);
-  }
-  if (members.empty()) return out;
-  if (members.size() == 1) {
-    out[members[0]] =
-        ExecuteInternal(reqs[members[0]], arrival_of(members[0]), extra_flags);
-    return out;
-  }
-  const size_t n = members.size();
-  const double t_cache = NowSeconds();
-
-  // One fair-share grant covers the whole batch: the members' summed cost
-  // at the most urgent member's priority, so the scheduler sees the same
-  // load the standalone calls would have presented.
-  uint64_t cost = 0;
-  int priority = reqs[members[0]].priority;
-  {
-    const std::shared_ptr<const TableSnapshot> cur = Pin();
-    for (const size_t i : members) {
-      cost += EstimateCost(*cur, reqs[i]);
-      priority = std::min(priority, reqs[i].priority);
-    }
-  }
-  QueryScheduler::Grant grant;
-  const Status adm = scheduler_->Acquire(priority, cost, nullptr, &grant);
-  const double t_admit = NowSeconds();
-  g_inflight_cost_.Set(static_cast<int64_t>(scheduler_->slots_in_use()));
-  // Seeds a member's lifecycle record with the batch's shared boundaries:
-  // per-member queue, then one cache / admission window for the whole batch.
-  const auto member_record = [&](size_t i) {
-    obs::RequestRecord rec;
-    rec.request_id = request_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-    rec.kind = static_cast<uint8_t>(reqs[i].kind);
-    rec.flags = extra_flags | obs::RequestRecord::kCoalesced;
-    rec.arrival_seconds = arrival_of(i);
-    rec.merge_overlap_seconds = MergeBusyAt(rec.arrival_seconds);
-    rec.queue_seconds = t_pickup - rec.arrival_seconds;
-    rec.cache_seconds = t_cache - t_pickup;
-    rec.admission_seconds = t_admit - t_cache;
-    if (reqs[i].ctx != nullptr) {
-      rec.stop_cause = static_cast<uint8_t>(reqs[i].ctx->stop_cause());
-    }
-    return rec;
-  };
-  if (!adm.ok()) {
-    for (const size_t i : members) {
-      obs::RequestRecord rec = member_record(i);
-      Result<QueryResult> r = adm;
-      FinishRequest(&rec, NowSeconds(), &r);
-      out[i] = std::move(r);
-    }
-    return out;
-  }
-  const std::shared_ptr<const TableSnapshot> snap = Pin();
-  g_pinned_snapshots_.Set(
-      pinned_queries_.fetch_add(1, std::memory_order_relaxed) + 1);
-
-  obs::SpanGuard span(tracer_, "serving.query.batch");
-  span.Arg("epoch", snap->epoch);
-  span.Arg("queries", n);
-  m_queries_.Add(n);
-  const double t_pin = NowSeconds();
-
-  std::vector<QueryResult> res(n);
-  std::vector<std::vector<TrajectoryId>> ids(n);
-  std::vector<uint8_t> live(n, 1);
-  if (snap->base != nullptr) {
-    std::vector<QueryRequest> base_reqs;
-    base_reqs.reserve(n);
-    for (const size_t i : members) {
-      QueryRequest br = reqs[i];
-      br.join_right = nullptr;
-      br.join_right_service = nullptr;
-      base_reqs.push_back(std::move(br));
-    }
-    std::vector<Result<QueryResult>> base_res =
-        snap->base->ExecuteBatch(base_reqs);
-    for (size_t m = 0; m < n; ++m) {
-      if (!base_res[m].ok()) {
-        out[members[m]] = base_res[m].status();
-        live[m] = 0;
-        continue;
-      }
-      res[m].search_stats = std::move(base_res[m]->search_stats);
-      for (const TrajectoryId id : base_res[m]->ids) {
-        if (snap->deleted.count(id) > 0) {
-          ++res[m].serving.deleted_filtered;
-        } else {
-          ids[m].push_back(id);
-        }
-      }
-    }
-  } else {
-    for (size_t m = 0; m < n; ++m) {
-      const QueryRequest& req = reqs[members[m]];
-      if (req.query.size() < 2) {
-        out[members[m]] = Status::InvalidArgument(
-            "query needs at least 2 points");
-        live[m] = 0;
-      } else if (req.tau < 0) {
-        out[members[m]] =
-            Status::InvalidArgument("threshold must be non-negative");
-        live[m] = 0;
-      }
-    }
-  }
-  const double t_base = NowSeconds();
-
-  // Delta scan: each insert's VerifyPrecomp is computed ONCE and scored
-  // against every live member — the serving-side share of the batch. Per
-  // member, the scan order, counters, and funnel are exactly the standalone
-  // SearchSnapshot delta pass.
-  std::vector<VerifyPrecomp> qps;
-  qps.reserve(n);
-  std::vector<VerifyStats> dstats(n);
-  for (const size_t i : members) {
-    qps.push_back(VerifyPrecomp::For(reqs[i].query, config_.verify.cell_size));
-  }
-  // Level-0 sketch over the delta (DESIGN.md §5g): the stored insert
-  // signatures are in the base's frame, so each member's dilated query set
-  // is built there too; the per-insert subset test then mirrors the
-  // indexed path's exactly.
-  const bool sketch = snap->base != nullptr && snap->base->SketchActive() &&
-                      !snap->inserts.empty();
-  std::vector<SigBits> dsig(sketch ? n : 0);
-  if (sketch) {
-    for (size_t m = 0; m < n; ++m) {
-      if (!live[m]) continue;
-      const QueryRequest& req = reqs[members[m]];
-      dsig[m] = snap->base->DilatedQuerySig(req.query, req.tau);
-    }
-  }
-  for (size_t d = 0; d < snap->inserts.size(); ++d) {
-    const Trajectory& t = snap->inserts[d];
-    VerifyPrecomp tp = VerifyPrecomp::For(t, config_.verify.cell_size);
-    if (sketch) tp.sig = snap->insert_sigs[d];
-    for (size_t m = 0; m < n; ++m) {
-      if (!live[m]) continue;
-      const QueryRequest& req = reqs[members[m]];
-      ++res[m].serving.delta_scanned;
-      if (verifier_->Verify(t, tp, req.query, qps[m], req.tau, &dstats[m],
-                            sketch ? &dsig[m] : nullptr)) {
-        ids[m].push_back(t.id());
-        ++res[m].serving.delta_matches;
-      }
-    }
-  }
-  const double t_delta = NowSeconds();
-
-  for (size_t m = 0; m < n; ++m) {
-    obs::RequestRecord rec = member_record(members[m]);
-    rec.pin_seconds = t_pin - t_admit;
-    rec.base_seconds = t_base - t_pin;
-    rec.delta_seconds = t_delta - t_base;
-    if (!live[m]) {
-      // out[members[m]] already holds this member's error status.
-      FinishRequest(&rec, NowSeconds(), &out[members[m]]);
-      continue;
-    }
-    const QueryRequest& req = reqs[members[m]];
-    res[m].kind = QueryKind::kSearch;
-    if (!snap->inserts.empty() && req.collect_stats) {
-      res[m].serving.delta_funnel.AddLevel("delta buffer",
-                                           snap->inserts.size());
-      res[m].serving.delta_funnel.AddLevel(
-          "sketch signature", dstats[m].pairs - dstats[m].pruned_by_sketch);
-      res[m].serving.delta_funnel.AddLevel(
-          "mbr coverage", dstats[m].pairs - dstats[m].pruned_by_sketch -
-                              dstats[m].pruned_by_mbr);
-      res[m].serving.delta_funnel.AddLevel("cell bound",
-                                           dstats[m].dp_computed);
-      res[m].serving.delta_funnel.AddLevel("threshold dp",
-                                           dstats[m].accepted);
-    }
-    std::sort(ids[m].begin(), ids[m].end());
-    res[m].ids = std::move(ids[m]);
-    if (req.collect_stats) res[m].search_stats.results = res[m].ids.size();
-    res[m].serving.epoch = snap->epoch;
-    res[m].serving.version = snap->version;
-    m_delta_scanned_.Add(res[m].serving.delta_scanned);
-    if (req.collect_stats) RecordExplain(res[m]);
-    if (cache_on && req.ctx == nullptr &&
-        res[m].search_stats.termination.ok() &&
-        res[m].search_stats.completeness >= 1.0) {
-      answer_cache_.Store(AnswerCache::KeyFor(req), snap->version, res[m]);
-    }
-    Result<QueryResult> r(std::move(res[m]));
-    FinishRequest(&rec, NowSeconds(), &r);
-    out[members[m]] = std::move(r);
-  }
-  g_pinned_snapshots_.Set(
-      pinned_queries_.fetch_sub(1, std::memory_order_relaxed) - 1);
-  return out;
 }
 
 Status DitaService::SearchIdsInto(const TableSnapshot& snap,
-                                  const Trajectory& q, double tau,
-                                  QueryContext* ctx,
+                                  const QueryRequest& req, QueryStats* stats,
                                   QueryResult::ServingInfo* acct,
-                                  std::vector<TrajectoryId>* out) const {
-  if (snap.base != nullptr) {
-    QueryRequest base_req;
-    base_req.kind = QueryKind::kSearch;
-    base_req.query = q;
-    base_req.tau = tau;
-    base_req.ctx = ctx;
-    base_req.collect_stats = false;
-    auto r = snap.base->Execute(base_req);
-    DITA_RETURN_IF_ERROR(r.status());
-    for (const TrajectoryId id : r->ids) {
-      if (snap.deleted.count(id) > 0) {
-        ++acct->deleted_filtered;
-      } else {
-        out->push_back(id);
-      }
-    }
-  } else {
-    if (q.size() < 2) {
-      return Status::InvalidArgument("query needs at least 2 points");
-    }
-    if (tau < 0) {
-      return Status::InvalidArgument("threshold must be non-negative");
-    }
-  }
-  // Delta scan: exact, because Verifier::Verify is the same accept
-  // predicate the indexed path ends in (sound filters + thresholded DP).
-  // The level-0 sketch test reuses the signatures Insert quantized in the
-  // base's frame against the query's dilated set in that same frame.
-  const VerifyPrecomp qp = VerifyPrecomp::For(q, config_.verify.cell_size);
-  const bool sketch = snap.base != nullptr && snap.base->SketchActive() &&
-                      !snap.inserts.empty();
-  SigBits dilated;
-  if (sketch) dilated = snap.base->DilatedQuerySig(q, tau);
-  VerifyStats dstats;
-  for (size_t d = 0; d < snap.inserts.size(); ++d) {
-    const Trajectory& t = snap.inserts[d];
-    ++acct->delta_scanned;
-    VerifyPrecomp tp = VerifyPrecomp::For(t, config_.verify.cell_size);
-    if (sketch) tp.sig = snap.insert_sigs[d];
-    if (verifier_->Verify(t, tp, q, qp, tau, &dstats,
-                          sketch ? &dilated : nullptr)) {
-      out->push_back(t.id());
-      ++acct->delta_matches;
-    }
-  }
-  if (!snap.inserts.empty()) {
-    acct->delta_funnel.AddLevel("delta buffer", snap.inserts.size());
-    acct->delta_funnel.AddLevel("sketch signature",
-                                dstats.pairs - dstats.pruned_by_sketch);
-    acct->delta_funnel.AddLevel(
-        "mbr coverage",
-        dstats.pairs - dstats.pruned_by_sketch - dstats.pruned_by_mbr);
-    acct->delta_funnel.AddLevel("cell bound", dstats.dp_computed);
-    acct->delta_funnel.AddLevel("threshold dp", dstats.accepted);
-  }
-  return Status::OK();
-}
-
-Result<QueryResult> DitaService::SearchSnapshot(const TableSnapshot& snap,
-                                                const QueryRequest& req,
-                                                PhaseSplit* split) const {
-  QueryResult res;
-  res.kind = QueryKind::kSearch;
-  std::vector<TrajectoryId> ids;
+                                  std::vector<TrajectoryId>* out,
+                                  PhaseSplit* split) const {
   if (snap.base != nullptr) {
     QueryRequest base_req = req;
     base_req.join_right = nullptr;
     base_req.join_right_service = nullptr;
     auto r = snap.base->Execute(base_req);
     DITA_RETURN_IF_ERROR(r.status());
-    res.search_stats = std::move(r->search_stats);
+    if (stats != nullptr) *stats = std::move(r->search_stats);
     for (const TrajectoryId id : r->ids) {
       if (snap.deleted.count(id) > 0) {
-        ++res.serving.deleted_filtered;
+        ++acct->deleted_filtered;
       } else {
-        ids.push_back(id);
+        out->push_back(id);
       }
     }
   } else {
@@ -1204,35 +825,42 @@ Result<QueryResult> DitaService::SearchSnapshot(const TableSnapshot& snap,
     }
   }
   if (split != nullptr) split->base_done_seconds = NowSeconds();
-  const VerifyPrecomp qp =
-      VerifyPrecomp::For(req.query, config_.verify.cell_size);
-  const bool sketch = snap.base != nullptr && snap.base->SketchActive() &&
-                      !snap.inserts.empty();
-  SigBits dilated;
-  if (sketch) dilated = snap.base->DilatedQuerySig(req.query, req.tau);
-  VerifyStats dstats;
-  for (size_t d = 0; d < snap.inserts.size(); ++d) {
-    const Trajectory& t = snap.inserts[d];
-    ++res.serving.delta_scanned;
-    VerifyPrecomp tp = VerifyPrecomp::For(t, config_.verify.cell_size);
-    if (sketch) tp.sig = snap.insert_sigs[d];
-    if (verifier_->Verify(t, tp, req.query, qp, req.tau, &dstats,
-                          sketch ? &dilated : nullptr)) {
-      ids.push_back(t.id());
-      ++res.serving.delta_matches;
+
+  // Delta scan: exact, because Verifier::Verify is the same accept
+  // predicate the indexed path ends in (sound filters + thresholded DP).
+  if (!snap.inserts.empty()) {
+    const VerifyPrecomp qp =
+        VerifyPrecomp::For(req.query, config_.verify.cell_size);
+    VerifyStats dstats;
+    for (const Trajectory& t : snap.inserts) {
+      ++acct->delta_scanned;
+      const VerifyPrecomp tp =
+          VerifyPrecomp::For(t, config_.verify.cell_size);
+      if (verifier_->Verify(t, tp, req.query, qp, req.tau, &dstats)) {
+        out->push_back(t.id());
+        ++acct->delta_matches;
+      }
+    }
+    if (req.collect_stats) {
+      acct->delta_funnel.AddLevel("delta buffer", snap.inserts.size());
+      acct->delta_funnel.AddLevel("mbr coverage",
+                                  dstats.pairs - dstats.pruned_by_mbr);
+      acct->delta_funnel.AddLevel("cell bound", dstats.dp_computed);
+      acct->delta_funnel.AddLevel("threshold dp", dstats.accepted);
     }
   }
   if (split != nullptr) split->delta_done_seconds = NowSeconds();
-  if (!snap.inserts.empty() && req.collect_stats) {
-    res.serving.delta_funnel.AddLevel("delta buffer", snap.inserts.size());
-    res.serving.delta_funnel.AddLevel("sketch signature",
-                                      dstats.pairs - dstats.pruned_by_sketch);
-    res.serving.delta_funnel.AddLevel(
-        "mbr coverage",
-        dstats.pairs - dstats.pruned_by_sketch - dstats.pruned_by_mbr);
-    res.serving.delta_funnel.AddLevel("cell bound", dstats.dp_computed);
-    res.serving.delta_funnel.AddLevel("threshold dp", dstats.accepted);
-  }
+  return Status::OK();
+}
+
+Result<QueryResult> DitaService::SearchSnapshot(const TableSnapshot& snap,
+                                                const QueryRequest& req,
+                                                PhaseSplit* split) const {
+  QueryResult res;
+  res.kind = QueryKind::kSearch;
+  std::vector<TrajectoryId> ids;
+  DITA_RETURN_IF_ERROR(
+      SearchIdsInto(snap, req, &res.search_stats, &res.serving, &ids, split));
   std::sort(ids.begin(), ids.end());
   res.ids = std::move(ids);
   if (req.collect_stats) res.search_stats.results = res.ids.size();
@@ -1326,11 +954,17 @@ Result<QueryResult> DitaService::JoinSnapshots(const TableSnapshot& left,
   if (split != nullptr) split->base_done_seconds = NowSeconds();
 
   // Term 2: left delta x live right (base and delta of the right snapshot).
+  QueryRequest probe;
+  probe.kind = QueryKind::kSearch;
+  probe.tau = req.tau;
+  probe.ctx = req.ctx;
+  probe.collect_stats = false;
   for (const Trajectory& t : left.inserts) {
     ++res.serving.delta_scanned;
+    probe.query = t;
     std::vector<TrajectoryId> rids;
     DITA_RETURN_IF_ERROR(
-        SearchIdsInto(right, t, req.tau, req.ctx, &res.serving, &rids));
+        SearchIdsInto(right, probe, nullptr, &res.serving, &rids));
     for (const TrajectoryId rid : rids) {
       pairs.emplace_back(t.id(), rid);
       ++res.serving.delta_matches;
@@ -1429,8 +1063,6 @@ DitaService::ServiceStats DitaService::Stats() const {
   s.deletes = deletes_count_.load(std::memory_order_relaxed);
   s.merges = merges();
   s.merge_busy_seconds = MergeBusyAt(NowSeconds());
-  s.coalesced_batches = coalesced_batches_.load();
-  s.coalesced_queries = coalesced_queries_.load();
   s.recorded = flight_recorder_.total_recorded();
   return s;
 }
@@ -1448,8 +1080,6 @@ std::string DitaService::ExplainService() const {
       << " misses\n"
       << "ingest: " << s.inserts << " inserts, " << s.deletes << " deletes, "
       << s.merges << " merges (" << s.merge_busy_seconds << " s busy)\n"
-      << "coalescing: " << s.coalesced_queries << " queries in "
-      << s.coalesced_batches << " batches\n"
       << "flight recorder: " << s.recorded << " recorded, capacity "
       << flight_recorder_.capacity() << "\n";
   const auto row = [&out](const char* name,
@@ -1506,10 +1136,6 @@ std::string DitaService::DumpFlightRecorder() const {
   w.UInt(s.merges);
   w.Key("merge_busy_seconds");
   w.Double(s.merge_busy_seconds);
-  w.Key("coalesced_batches");
-  w.UInt(s.coalesced_batches);
-  w.Key("coalesced_queries");
-  w.UInt(s.coalesced_queries);
   w.Key("recorded");
   w.UInt(s.recorded);
   w.Key("capacity");
@@ -1554,8 +1180,6 @@ std::string DitaService::DumpFlightRecorder() const {
         static_cast<QueryContext::StopCause>(r.stop_cause)));
     w.Key("cache_hit");
     w.Raw(r.cache_hit() ? "true" : "false");
-    w.Key("coalesced");
-    w.Raw(r.coalesced() ? "true" : "false");
     w.Key("degraded");
     w.Raw(r.degraded() ? "true" : "false");
     w.Key("shed");

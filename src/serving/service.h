@@ -9,6 +9,7 @@
 #include <list>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -23,12 +24,12 @@
 namespace dita {
 
 /// Version-tagged LRU cache for the serving read path (DESIGN.md §5g).
-/// Keys are a 128-bit content digest of the request — query points, the tau
-/// / k bit patterns, the query kind, and the stats flag — so
-/// a hit is byte-for-byte the answer the engine would recompute. (The
-/// digest is a conservative refinement of the minhash sketch key: sketch
-/// canonicalization would alias distinct queries and force re-verification
-/// on hit; the exact digest keeps hits sound with zero extra work.)
+/// Every entry stores the canonical bytes of the request it answers — the
+/// query kind, the tau / k bit patterns, the stats flag, and the query
+/// points — and is indexed by a 128-bit digest of those bytes. A hit needs
+/// both the digest and the bytes to match, so two requests whose digests
+/// collide never alias: a hit is byte-for-byte the answer the engine would
+/// recompute for exactly this request.
 ///
 /// Staleness is impossible by two independent guards:
 ///  1. every publish (Insert / Delete / merge) calls InvalidateAll;
@@ -47,10 +48,13 @@ class AnswerCache {
     friend bool operator==(const Key&, const Key&) = default;
   };
 
-  /// Content digest of everything that determines `req`'s answer on a
+  /// Canonical bytes of everything that determines `req`'s answer on a
   /// fixed snapshot. The metric is per-service (all requests share it), so
-  /// it is not part of the key.
-  static Key KeyFor(const QueryRequest& req);
+  /// it is not part of them.
+  static std::string RequestBytes(const QueryRequest& req);
+
+  /// 128-bit digest of canonical request bytes: the index key.
+  static Key KeyOf(std::string_view bytes);
 
   /// Sets capacity and registers the serving.cache.* counters. Called once
   /// from the service constructor, before any traffic.
@@ -58,15 +62,20 @@ class AnswerCache {
 
   bool enabled() const { return capacity_ > 0; }
 
-  /// On hit (key present AND entry tagged with `version`) copies the stored
-  /// result into `out`, refreshes LRU order, and returns true. A version
-  /// mismatch — an entry stored by a query that raced a publish — is erased
-  /// and counted as a miss.
-  bool Lookup(const Key& key, uint64_t version, QueryResult* out);
+  /// On hit (key present, entry bytes equal to `request`, AND entry tagged
+  /// with `version`) copies the stored result into `out`, refreshes LRU
+  /// order, and returns true. An entry for different request bytes (a
+  /// digest collision) is a miss and stays cached for its own request. A
+  /// version mismatch — an entry stored by a query that raced a publish —
+  /// is erased and counted as a miss.
+  bool Lookup(const Key& key, std::string_view request, uint64_t version,
+              QueryResult* out);
 
-  /// Inserts (or refreshes) `res` under `key`, tagged with the snapshot
-  /// version it was computed against, evicting the LRU tail past capacity.
-  void Store(const Key& key, uint64_t version, const QueryResult& res);
+  /// Inserts (or replaces) the entry under `key` with `request`'s bytes and
+  /// `res`, tagged with the snapshot version it was computed against,
+  /// evicting the LRU tail past capacity.
+  void Store(const Key& key, std::string request, uint64_t version,
+             const QueryResult& res);
 
   /// Drops every entry. Called by the write path after each publish.
   void InvalidateAll();
@@ -84,6 +93,7 @@ class AnswerCache {
   };
   struct Entry {
     Key key;
+    std::string request;
     uint64_t version = 0;
     QueryResult result;
   };
@@ -149,30 +159,8 @@ class DitaService {
 
   /// Asynchronous execution on the service's executor pool
   /// (ServingOptions::scheduler_threads). The request is owned by the
-  /// future's job; a non-null req.ctx must outlive the future. With
-  /// ServingOptions::max_batch_size > 1, an executor draining the queue
-  /// coalesces a FIFO prefix of compatible requests (threshold searches
-  /// without join targets) into one ExecuteBatch call — answers are
-  /// bit-identical to sequential Execute calls on the same snapshot.
+  /// future's job; a non-null req.ctx must outlive the future.
   std::future<Result<QueryResult>> Submit(QueryRequest req) const;
-
-  /// Executes several requests as one scheduled unit: ONE fair-share grant
-  /// (summed cost, most-urgent member priority), ONE pinned snapshot, the
-  /// base engine's batched search (shared trie traversal + multi-query
-  /// verify), and ONE delta pass whose per-insert VerifyPrecomp is computed
-  /// once and scored against every member. Results are positional and
-  /// per-member bit-identical to Execute against the same snapshot,
-  /// including stats, serving info, and per-member error statuses.
-  /// Requests that cannot coalesce (joins, kNN) fall back to standalone
-  /// Execute calls with their own grants. A member whose ctx stops loses
-  /// only its own answer.
-  std::vector<Result<QueryResult>> ExecuteBatch(
-      const std::vector<QueryRequest>& reqs) const;
-
-  /// Coalescing counters: batches executed through the coalesced Submit
-  /// path since Start(), and the total queries those batches contained.
-  uint64_t coalesced_batches() const { return coalesced_batches_.load(); }
-  uint64_t coalesced_queries() const { return coalesced_queries_.load(); }
 
   /// Answer-cache counters (all zero while
   /// ServingOptions::answer_cache_entries is 0, the default).
@@ -230,8 +218,6 @@ class DitaService {
     uint64_t deletes = 0;
     uint64_t merges = 0;
     double merge_busy_seconds = 0.0;
-    uint64_t coalesced_batches = 0;
-    uint64_t coalesced_queries = 0;
     uint64_t recorded = 0;  // flight-recorder tickets ever written
     obs::Histogram::Snapshot latency_search;
     obs::Histogram::Snapshot latency_join;
@@ -267,14 +253,6 @@ class DitaService {
 
   /// Estimated admission cost of `req` against `snap` (cost_hint wins).
   uint64_t EstimateCost(const TableSnapshot& snap, const QueryRequest& req) const;
-
-  /// True when `req` may join a coalesced batch: a threshold search with no
-  /// join target (all such requests share metric and snapshot by
-  /// construction, so one traversal can serve them all).
-  static bool Coalescible(const QueryRequest& req) {
-    return req.kind == QueryKind::kSearch && req.join_right == nullptr &&
-           req.join_right_service == nullptr;
-  }
 
   /// Intra-query phase boundaries on the service clock, stamped by the
   /// snapshot query bodies so the lifecycle record can split base-index work
@@ -314,13 +292,6 @@ class DitaService {
                                       double arrival_seconds,
                                       uint8_t extra_flags) const;
 
-  /// ExecuteBatch body with per-member arrival stamps (empty = "arriving
-  /// now") and extra lifecycle flags; members served by the shared batch
-  /// machinery additionally get RequestRecord::kCoalesced.
-  std::vector<Result<QueryResult>> ExecuteBatchInternal(
-      const std::vector<QueryRequest>& reqs,
-      const std::vector<double>& arrivals, uint8_t extra_flags) const;
-
   /// Terminal accounting shared by every completion path (normal, cache
   /// hit, shed, error): derives total from `end_seconds`, turns the stashed
   /// merge-busy-at-arrival value into merge_overlap_seconds, observes the
@@ -330,12 +301,21 @@ class DitaService {
   void FinishRequest(obs::RequestRecord* rec, double end_seconds,
                      Result<QueryResult>* res) const;
 
-  /// Search ids of `snap` matching (q, tau) — the building block the join
-  /// delta terms reuse. Appends live matching ids (unsorted) to `out`.
-  Status SearchIdsInto(const TableSnapshot& snap, const Trajectory& q,
-                       double tau, QueryContext* ctx,
+  /// The threshold search over a snapshot, shared by SearchSnapshot and the
+  /// join's delta terms: the base index (answers whose id was deleted are
+  /// dropped and counted) and then the one delta scan, which verifies
+  /// (query, tau) against each pending insert with the indexed path's
+  /// accept predicate. Appends live matching ids (unsorted) to `out` and
+  /// counts into `acct`. `stats` (may be null) receives the base query's
+  /// stats; when req.collect_stats is set and the delta is non-empty, the
+  /// delta funnel (delta buffer -> mbr coverage -> cell bound -> threshold
+  /// dp) is appended to acct->delta_funnel. `split` (may be null) gets the
+  /// base/delta phase stamps.
+  Status SearchIdsInto(const TableSnapshot& snap, const QueryRequest& req,
+                       QueryStats* stats,
                        QueryResult::ServingInfo* acct,
-                       std::vector<TrajectoryId>* out) const;
+                       std::vector<TrajectoryId>* out,
+                       PhaseSplit* split = nullptr) const;
 
   /// One epoch merge: rebuild the base over (base \ deleted) + inserts,
   /// replay operations that arrived mid-merge, publish epoch+1. Returns
@@ -410,8 +390,6 @@ class DitaService {
   obs::CounterHandle m_merges_;
   obs::CounterHandle m_queries_;
   obs::CounterHandle m_delta_scanned_;
-  obs::CounterHandle m_coalesced_queries_;
-  obs::HistogramHandle h_batch_size_;
   obs::HistogramHandle h_latency_search_;
   obs::HistogramHandle h_latency_join_;
   obs::HistogramHandle h_latency_knn_;
@@ -421,8 +399,6 @@ class DitaService {
   obs::GaugeHandle g_pinned_snapshots_;
   obs::GaugeHandle g_delta_bytes_;
   obs::GaugeHandle g_merge_backlog_;
-  mutable std::atomic<uint64_t> coalesced_batches_{0};
-  mutable std::atomic<uint64_t> coalesced_queries_{0};
 
   /// Always-on serving observability (independent of enable_metrics /
   /// enable_tracing): the flight recorder, per-kind latency + wait

@@ -8,7 +8,6 @@
 
 #include "core/engine.h"
 #include "geom/trajectory.h"
-#include "index/signature.h"
 
 namespace dita {
 
@@ -52,14 +51,6 @@ struct TableSnapshot {
   /// order), and base ids deleted since the rebuild.
   std::vector<Trajectory> inserts;
   std::unordered_set<TrajectoryId> deleted;
-  /// Level-0 sketches of `inserts`, parallel by index, quantized in the
-  /// epoch base engine's SigGrid frame at Insert time (all-zero when the
-  /// base has no grid or the metric is non-geometric). The write path keeps
-  /// this in lockstep with `inserts` — including the mid-merge replay,
-  /// which re-quantizes against the *new* base's frame — so the delta scan
-  /// runs the same sketch prune as the indexed path without re-quantizing
-  /// per query.
-  std::vector<TrajSignature> insert_sigs;
 
   size_t base_size() const { return base_data == nullptr ? 0 : base_data->size(); }
 

@@ -420,8 +420,8 @@ TEST(DitaEngineTest, JoinShipsBytesAndReportsStats) {
   EXPECT_EQ(stats.verify.accepted, stats.result_pairs);
   EXPECT_GT(stats.verify.dp_computed, 0u);
   EXPECT_GT(stats.verify.dp_cells, 0u);
-  EXPECT_EQ(stats.verify.pruned_by_sketch + stats.verify.pruned_by_mbr +
-                stats.verify.pruned_by_cell + stats.verify.dp_computed,
+  EXPECT_EQ(stats.verify.pruned_by_mbr + stats.verify.pruned_by_cell +
+                stats.verify.dp_computed,
             stats.verify.pairs);
   // The join funnel is monotone and lands exactly on the result pairs.
   ASSERT_FALSE(stats.funnel.empty());

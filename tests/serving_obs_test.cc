@@ -394,37 +394,5 @@ TEST_F(ServingObsTest, StatsExplainAndDumpExposeTheRollup) {
             std::count(json.begin(), json.end(), ']'));
 }
 
-TEST_F(ServingObsTest, CoalescedBatchMembersTelescopeIndividually) {
-  config_.serving.max_batch_size = 4;
-  config_.serving.scheduler_threads = 1;  // one executor => drains coalesce
-  DitaService service(cluster_, config_);
-  ASSERT_TRUE(service.Start(ds_).ok());
-  ASSERT_TRUE(service.Insert(WithId(ds_[9], 40001)).ok());
-
-  std::vector<std::future<Result<QueryResult>>> futures;
-  for (size_t i = 0; i < 8; ++i) {
-    QueryRequest req;
-    req.kind = QueryKind::kSearch;
-    req.query = ds_[i * 13];
-    req.tau = 0.05;
-    futures.push_back(service.Submit(req));
-  }
-  bool saw_coalesced = false;
-  for (auto& f : futures) {
-    auto res = f.get();
-    ASSERT_TRUE(res.ok());
-    const obs::RequestRecord rec = (*res).serving.lifecycle;
-    ExpectTelescopes(rec);
-    EXPECT_NE(rec.flags & obs::RequestRecord::kAsync, 0);
-    EXPECT_EQ(rec.results, (*res).ids.size());
-    saw_coalesced = saw_coalesced || rec.coalesced();
-  }
-  // With one executor and 8 queued searches, at least one batch coalesced
-  // (cache misses guaranteed: the queries are distinct).
-  if (service.coalesced_batches() > 0) {
-    EXPECT_TRUE(saw_coalesced);
-  }
-}
-
 }  // namespace
 }  // namespace dita

@@ -812,6 +812,9 @@ TEST(ServingOracleTest, CrossServiceJoinMatchesBatchEngines) {
   const std::pair<TrajectoryId, TrajectoryId> planted{left_ds[3].id(), 7001};
   EXPECT_TRUE(std::find(served->pairs.begin(), served->pairs.end(), planted) !=
               served->pairs.end());
+  // The delta funnel is search-only: the join's delta terms probe with
+  // stats off, so they append no per-insert funnel levels.
+  EXPECT_TRUE(served->serving.delta_funnel.empty());
 }
 
 // ------------------------------------------------------------------------
@@ -1047,23 +1050,34 @@ TEST_F(AnswerCacheTest, KnnResultsAreCached) {
   EXPECT_NE(third->neighbors, first->neighbors);
 }
 
-TEST_F(AnswerCacheTest, BatchPathServesAndFillsTheCache) {
-  StartService(16);
-  const QueryRequest req = SearchReq(ds_[9]);
-  // First batch: both members carry the same key; neither hits (the lookup
-  // precedes the shared computation) but the result is stored.
-  auto first = service_->ExecuteBatch({req, req});
-  ASSERT_EQ(first.size(), 2u);
-  ASSERT_TRUE(first[0].ok());
-  ASSERT_TRUE(first[1].ok());
-  EXPECT_EQ(service_->cache_hits(), 0u);
-  // Second batch: both members hit, answers identical to the computed run.
-  auto second = service_->ExecuteBatch({req, req});
-  ASSERT_TRUE(second[0].ok());
-  ASSERT_TRUE(second[1].ok());
-  EXPECT_EQ(service_->cache_hits(), 2u);
-  EXPECT_EQ(second[0]->ids, first[0]->ids);
-  EXPECT_EQ(second[1]->ids, first[1]->ids);
+TEST_F(AnswerCacheTest, CollidingKeysNeverAlias) {
+  // Two different requests forced under one digest: the stored request
+  // bytes, not the digest, decide a hit.
+  AnswerCache cache;
+  cache.Configure(4, nullptr);
+  const QueryRequest a = SearchReq(Trajectory(1, {{0, 0}, {1, 1}}), 0.05);
+  const QueryRequest b = SearchReq(Trajectory(1, {{0, 0}, {1, 1}}), 0.08);
+  ASSERT_NE(AnswerCache::RequestBytes(a), AnswerCache::RequestBytes(b));
+  const AnswerCache::Key forced{1, 2};
+  QueryResult ra;
+  ra.ids = {7};
+  cache.Store(forced, AnswerCache::RequestBytes(a), 3, ra);
+
+  QueryResult out;
+  EXPECT_FALSE(cache.Lookup(forced, AnswerCache::RequestBytes(b), 3, &out));
+  EXPECT_TRUE(out.ids.empty());
+  ASSERT_TRUE(cache.Lookup(forced, AnswerCache::RequestBytes(a), 3, &out));
+  EXPECT_EQ(out.ids, ra.ids);
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.misses(), 1u);
+
+  // Storing b under the same digest replaces a's entry; a now misses.
+  QueryResult rb;
+  rb.ids = {8, 9};
+  cache.Store(forced, AnswerCache::RequestBytes(b), 3, rb);
+  EXPECT_FALSE(cache.Lookup(forced, AnswerCache::RequestBytes(a), 3, &out));
+  ASSERT_TRUE(cache.Lookup(forced, AnswerCache::RequestBytes(b), 3, &out));
+  EXPECT_EQ(out.ids, rb.ids);
 }
 
 TEST_F(AnswerCacheTest, ContextCarryingRequestsBypassTheCache) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "distance/distance.h"
+#include "util/thread_pool.h"
 #include "workload/generator.h"
 
 namespace dita {
@@ -224,6 +225,90 @@ TEST(TrieIndexTest, FilterActuallyPrunes) {
   index.CollectCandidates(spec, &candidates);
   EXPECT_LT(candidates.size(), ds.size() / 2)
       << "trie pruned less than half the partition";
+}
+
+Dataset FilterDataset(size_t n, uint64_t seed) {
+  GeneratorConfig cfg;
+  cfg.cardinality = n;
+  cfg.region = MBR(Point{0, 0}, Point{1, 1});
+  cfg.step = 0.01;
+  cfg.avg_len = 16;
+  cfg.min_len = 4;
+  cfg.max_len = 40;
+  cfg.seed = seed;
+  return GenerateTaxiDataset(cfg);
+}
+
+TrieIndex::Options SmallOpts() {
+  TrieIndex::Options opts;
+  opts.num_pivots = 3;
+  opts.align_fanout = 8;
+  opts.pivot_fanout = 4;
+  opts.leaf_capacity = 4;
+  return opts;
+}
+
+/// Explicit scratch: results match the thread-local default, the arena is
+/// measurable and reusable, and Release() frees it.
+TEST(TrieIndexTest, ExplicitScratchMatchesThreadLocalAndReleases) {
+  Dataset ds = FilterDataset(300, 77);
+  TrieIndex index;
+  ASSERT_TRUE(index.Build(ds.trajectories(), SmallOpts()).ok());
+  const Trajectory q = ds[17];
+  TrieIndex::SearchSpec spec;
+  spec.query = &q;
+  spec.tau = 0.05;
+  spec.mode = PruneMode::kAccumulate;
+
+  std::vector<uint32_t> with_default;
+  index.CollectCandidates(spec, &with_default);
+
+  TrieIndex::Scratch scratch;
+  EXPECT_EQ(scratch.ByteSize(), 0u);
+  std::vector<uint32_t> with_explicit;
+  index.CollectCandidates(spec, &with_explicit, nullptr, &scratch);
+  EXPECT_EQ(with_explicit, with_default);
+  EXPECT_GT(scratch.ByteSize(), 0u);
+
+  // Reuse is idempotent.
+  std::vector<uint32_t> reused;
+  index.CollectCandidates(spec, &reused, nullptr, &scratch);
+  EXPECT_EQ(reused, with_default);
+
+  scratch.Release();
+  EXPECT_EQ(scratch.ByteSize(), 0u);
+  std::vector<uint32_t> after_release;
+  index.CollectCandidates(spec, &after_release, nullptr, &scratch);
+  EXPECT_EQ(after_release, with_default);
+}
+
+/// Small builds must not fan out to the pool (the dispatch costs more than
+/// the loop it splits); large builds must — and both produce the serial
+/// trie, structure and all.
+TEST(TrieIndexTest, ParallelBuildThresholdPinsSmallBuildsSerial) {
+  ThreadPool pool(2);
+
+  Dataset small = FilterDataset(512, 81);
+  TrieIndex serial_small;
+  ASSERT_TRUE(serial_small.Build(small.trajectories(), SmallOpts()).ok());
+  TrieIndex pooled_small;
+  double offloaded = 0.0;
+  ASSERT_TRUE(
+      pooled_small.Build(small.trajectories(), SmallOpts(), &pool, &offloaded)
+          .ok());
+  EXPECT_EQ(offloaded, 0.0) << "small build must stay on the calling thread";
+  EXPECT_EQ(pooled_small.StructureDigest(), serial_small.StructureDigest());
+
+  Dataset big = FilterDataset(TrieIndex::kMinBuildItemsPerThread * 2, 83);
+  TrieIndex serial_big;
+  ASSERT_TRUE(serial_big.Build(big.trajectories(), SmallOpts()).ok());
+  TrieIndex pooled_big;
+  offloaded = 0.0;
+  ASSERT_TRUE(
+      pooled_big.Build(big.trajectories(), SmallOpts(), &pool, &offloaded)
+          .ok());
+  EXPECT_GT(offloaded, 0.0) << "large build should use the pool";
+  EXPECT_EQ(pooled_big.StructureDigest(), serial_big.StructureDigest());
 }
 
 }  // namespace

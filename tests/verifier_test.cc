@@ -150,8 +150,10 @@ TEST(VerifyBatchTest, MatchesPairwiseVerify) {
 
     VerifyStats batch_stats;
     std::vector<uint32_t> accepted;
-    const Verifier::Batch batch{&f.precomp, &f.candidates, &f.query_precomp,
-                                f.tau};
+    const Verifier::Batch batch{.precomp = &f.precomp,
+                                .candidates = &f.candidates,
+                                .query = &f.query_precomp,
+                                .tau = f.tau};
     const Verifier::BatchResult r = verifier->VerifyBatch(
         batch, /*pool=*/nullptr, /*min_parallel=*/0, &accepted, &batch_stats);
 
@@ -173,8 +175,10 @@ TEST(VerifyBatchTest, ParallelAgreesWithSerialAndChargesCpu) {
                  // batch is guaranteed to take the pool path
 
   std::vector<uint32_t> serial;
-  const Verifier::Batch batch{&f.precomp, &f.candidates, &f.query_precomp,
-                              f.tau};
+  const Verifier::Batch batch{.precomp = &f.precomp,
+                              .candidates = &f.candidates,
+                              .query = &f.query_precomp,
+                              .tau = f.tau};
   verifier->VerifyBatch(batch, nullptr, 0, &serial, nullptr);
   ASSERT_FALSE(serial.empty());
 
@@ -193,8 +197,10 @@ TEST(VerifyBatchTest, SmallBatchesStaySerial) {
   BatchFixture f = BatchFixture::Make(8, 5);
   ThreadPool pool(3);
   std::vector<uint32_t> accepted;
-  const Verifier::Batch batch{&f.precomp, &f.candidates, &f.query_precomp,
-                              f.tau};
+  const Verifier::Batch batch{.precomp = &f.precomp,
+                              .candidates = &f.candidates,
+                              .query = &f.query_precomp,
+                              .tau = f.tau};
   // min_parallel above the candidate count: the pool must not be used.
   const Verifier::BatchResult r =
       verifier->VerifyBatch(batch, &pool, /*min_parallel=*/64, &accepted,
@@ -207,8 +213,10 @@ TEST(VerifyBatchTest, AppendsToExistingAcceptedList) {
   auto verifier = MakeVerifier(DistanceType::kDTW);
   BatchFixture f = BatchFixture::Make(30, 13);
   std::vector<uint32_t> accepted = {9999};  // pre-existing entry survives
-  const Verifier::Batch batch{&f.precomp, &f.candidates, &f.query_precomp,
-                              f.tau};
+  const Verifier::Batch batch{.precomp = &f.precomp,
+                              .candidates = &f.candidates,
+                              .query = &f.query_precomp,
+                              .tau = f.tau};
   const Verifier::BatchResult r =
       verifier->VerifyBatch(batch, nullptr, 0, &accepted, nullptr);
   ASSERT_GE(accepted.size(), 1u);
@@ -218,15 +226,13 @@ TEST(VerifyBatchTest, AppendsToExistingAcceptedList) {
 
 TEST(VerifierTest, StatsMergeAccumulates) {
   VerifyStats a{.pairs = 10,
-                .pruned_by_sketch = 1,
                 .pruned_by_mbr = 2,
                 .pruned_by_cell = 3,
                 .dp_computed = 5,
                 .accepted = 4};
-  VerifyStats b{.pairs = 1, .pruned_by_sketch = 1, .pruned_by_mbr = 1};
+  VerifyStats b{.pairs = 1, .pruned_by_mbr = 1};
   a.Merge(b);
   EXPECT_EQ(a.pairs, 11u);
-  EXPECT_EQ(a.pruned_by_sketch, 2u);
   EXPECT_EQ(a.pruned_by_mbr, 3u);
   EXPECT_EQ(a.pruned_by_cell, 3u);
   EXPECT_EQ(a.dp_computed, 5u);

@@ -51,12 +51,6 @@ SCHEMAS = {
         ("trie_collect_ns_per_query.max.tau_mid", NUM),
         ("trie_collect_ns_per_query.edit.budget4", NUM),
         ("trie_collect_queries_per_sec", NUM),
-        ("trie_collect_batch_queries_per_sec.batch_1", NUM),
-        ("trie_collect_batch_queries_per_sec.batch_2", NUM),
-        ("trie_collect_batch_queries_per_sec.batch_8", NUM),
-        ("trie_collect_batch_queries_per_sec.batch_32", NUM),
-        ("trie_collect_batch_queries_per_sec.batch_64", NUM),
-        ("speedup_batch_32", NUM),
         ("rtree_probe_ns_per_query.within", NUM),
         ("rtree_probe_ns_per_query.intersect", NUM),
         ("index_build.trie_build_ms_4096", NUM),
@@ -68,12 +62,6 @@ SCHEMAS = {
         ("cell_bound.frechet_ns_per_pair.abandon_tau", NUM),
         ("cell_bound.dtw_abandon_speedup", NUM),
         ("cell_bound.frechet_abandon_speedup", NUM),
-        ("sketch.search_qps.off", NUM),
-        ("sketch.search_qps.on", NUM),
-        ("sketch.speedup", NUM),
-        ("sketch.prune_fraction_partitions.tau_mid", NUM),
-        ("sketch.prune_fraction_candidates.tau_mid", NUM),
-        ("sketch.wrong_answers", NUM),
     ],
     "serving": [
         ("meta.build_type", str),
@@ -92,12 +80,6 @@ SCHEMAS = {
         ("ingest.epoch_merges", NUM),
         ("bulk_join.pairs", NUM),
         ("bulk_join.matches_batch_oracle", bool),
-        ("batching.off_qps", NUM),
-        ("batching.on_qps", NUM),
-        ("batching.gain", NUM),
-        ("batching.batches", NUM),
-        ("batching.avg_batch", NUM),
-        ("batching.wrong_answers", NUM),
         ("cache.off_qps", NUM),
         ("cache.on_qps", NUM),
         ("cache.gain", NUM),
@@ -135,8 +117,6 @@ SCHEMAS = {
         ("service.deletes", NUM),
         ("service.merges", NUM),
         ("service.merge_busy_seconds", NUM),
-        ("service.coalesced_batches", NUM),
-        ("service.coalesced_queries", NUM),
         ("service.recorded", NUM),
         ("service.capacity", NUM),
     ]
@@ -154,7 +134,6 @@ FLIGHT_RECORD_FIELDS = [
     ("status_code", NUM),
     ("stop_cause", str),
     ("cache_hit", bool),
-    ("coalesced", bool),
     ("degraded", bool),
     ("shed", bool),
     ("async", bool),
@@ -194,11 +173,8 @@ METRICS_REQUIRED_COUNTERS = ["serving.queries"]
 THROUGHPUT_KEYS = {
     "micro_filter": [
         "trie_collect_queries_per_sec",
-        "trie_collect_batch_queries_per_sec.batch_32",
-        "speedup_batch_32",
         "cell_bound.dtw_abandon_speedup",
         "cell_bound.frechet_abandon_speedup",
-        "sketch.speedup",
     ],
     # Open-loop qps is arrival-rate-capped, not a capacity; the cache gain
     # is a ratio of two closed-loop runs on the same machine, so it gates.
@@ -209,9 +185,9 @@ THROUGHPUT_KEYS = {
 
 # Counters that must be exactly zero in the candidate.
 ZERO_KEYS = {
-    "micro_filter": ["sketch.wrong_answers"],
-    "serving": ["wrong_answers", "batching.wrong_answers",
-                "cache.wrong_answers", "obs_overhead.wrong_answers"],
+    "micro_filter": [],
+    "serving": ["wrong_answers", "cache.wrong_answers",
+                "obs_overhead.wrong_answers"],
     "flight": [],
     "metrics": [],
 }

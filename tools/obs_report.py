@@ -76,9 +76,8 @@ def outcome_rates(service):
 
 def flags_of(rec):
     out = []
-    for key, tag in (("cache_hit", "hit"), ("coalesced", "batch"),
-                     ("degraded", "degraded"), ("shed", "SHED"),
-                     ("async", "async")):
+    for key, tag in (("cache_hit", "hit"), ("degraded", "degraded"),
+                     ("shed", "SHED"), ("async", "async")):
         if rec.get(key):
             out.append(tag)
     if rec.get("stop_cause", "none") != "none":
