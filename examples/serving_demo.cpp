@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
   std::printf("after merge: epoch %llu, %llu merges, %zu live\n%s",
               static_cast<unsigned long long>(service.epoch()),
               static_cast<unsigned long long>(service.merges()),
-              service.live_size(), service.ExplainLastQuery().c_str());
+              service.live_size(), RenderExplain(*post).c_str());
 
   std::printf("scheduler: %llu admitted, %zu slots\n",
               static_cast<unsigned long long>(service.scheduler().admitted()),

@@ -6,6 +6,7 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <sstream>
 #include <thread>
 #include <unordered_map>
 
@@ -17,19 +18,71 @@
 
 namespace dita {
 
-Status ValidateKnnRequest(const QueryRequest& req, size_t table_size) {
-  if (req.query.size() < 2) {
-    return Status::InvalidArgument("query needs at least 2 points");
+Status ValidateTrajectory(const Trajectory& t) {
+  if (t.size() < 2) {
+    return Status::InvalidArgument("trajectory needs at least 2 points");
   }
-  for (const Point& p : req.query.points()) {
+  for (const Point& p : t.points()) {
     if (!std::isfinite(p.x) || !std::isfinite(p.y)) {
-      return Status::InvalidArgument("query has a non-finite coordinate");
+      return Status::InvalidArgument("trajectory has a non-finite coordinate");
     }
   }
-  if (req.k > table_size) {
-    return Status::InvalidArgument("k exceeds the table cardinality");
+  return Status::OK();
+}
+
+Status ValidateRequest(const QueryRequest& req) {
+  switch (req.kind) {
+    case QueryKind::kSearch:
+    case QueryKind::kKnnSearch:
+      DITA_RETURN_IF_ERROR(ValidateTrajectory(req.query));
+      break;
+    case QueryKind::kJoin:
+      if (req.join_right != nullptr && req.join_right_service != nullptr) {
+        return Status::InvalidArgument(
+            "set at most one of join_right / join_right_service");
+      }
+      break;
+    default:
+      return Status::InvalidArgument("unknown query kind");
+  }
+  // Written so a NaN tau fails too.
+  if (req.kind != QueryKind::kKnnSearch && !(req.tau >= 0)) {
+    return Status::InvalidArgument("threshold must be a non-negative number");
   }
   return Status::OK();
+}
+
+std::string RenderExplain(const QueryResult& res) {
+  const bool join = res.kind == QueryKind::kJoin;
+  const obs::FilterFunnel& funnel =
+      join ? res.join_stats.funnel : res.search_stats.funnel;
+  std::ostringstream out;
+  out << (join ? "== Trajectory join ==\n"
+               : (res.kind == QueryKind::kSearch ? "== Similarity search ==\n"
+                                                 : "== kNN search ==\n"));
+  if (!funnel.empty()) out << funnel.ToTable();
+  if (join) {
+    const JoinStats& s = res.join_stats;
+    out << "graph edges: " << s.graph_edges
+        << ", divided partitions: " << s.divided_partitions
+        << ", bytes shipped: " << s.bytes_shipped
+        << ", result pairs: " << s.result_pairs
+        << ", makespan: " << s.makespan_seconds << "s\n";
+  } else {
+    const QueryStats& s = res.search_stats;
+    out << "partitions probed: " << s.partitions_probed
+        << ", candidates: " << s.candidates << ", results: " << s.results
+        << ", makespan: " << s.makespan_seconds << "s\n";
+  }
+  const QueryResult::ServingInfo& serving = res.serving;
+  if (serving.served) {
+    out << "epoch: " << serving.epoch << ", version: " << serving.version
+        << ", delta scanned: " << serving.delta_scanned
+        << ", delta matched: " << serving.delta_matches
+        << ", deleted filtered: " << serving.deleted_filtered << "\n";
+    if (!serving.delta_funnel.empty()) out << serving.delta_funnel.ToTable();
+  }
+  return out.str();
 }
 
 DitaEngine::DitaEngine(std::shared_ptr<Cluster> cluster, const DitaConfig& config)
@@ -149,10 +202,10 @@ Status DitaEngine::AdmitQuery(QueryKind kind, QueryContext* ctx, uint64_t cost,
 
 uint64_t DitaEngine::EstimateQueryCost(const QueryRequest& req) const {
   if (req.cost_hint > 0) return req.cost_hint;
-  if (!indexed_) return 1;
+  // Probes and sweep plans must never see a malformed request.
+  if (!indexed_ || !ValidateRequest(req).ok()) return 1;
   switch (req.kind) {
     case QueryKind::kSearch: {
-      if (req.query.size() < 2) return 1;
       // Relevant-partition count is the unit the cluster actually pays per
       // probe stage; +1 covers the driver work every query does.
       return static_cast<uint64_t>(
@@ -160,11 +213,6 @@ uint64_t DitaEngine::EstimateQueryCost(const QueryRequest& req) const {
              1;
     }
     case QueryKind::kKnnSearch: {
-      // The sweep plan must never see a non-finite query; k is checked
-      // against the table when the query runs.
-      if (!ValidateKnnRequest(req, std::numeric_limits<size_t>::max()).ok()) {
-        return 1;
-      }
       // No radius to probe at: a kNN sweep visits at least its seed stage —
       // the fewest lowest-bound partitions holding k trajectories — so that
       // count, +1 for the driver, is its cost.
@@ -185,18 +233,13 @@ uint64_t DitaEngine::EstimateQueryCost(const QueryRequest& req) const {
 }
 
 Result<QueryResult> DitaEngine::Execute(const QueryRequest& req) const {
+  DITA_RETURN_IF_ERROR(ValidateRequest(req));
   QueryResult res;
   res.kind = req.kind;
   QueryStats* qstats = req.collect_stats ? &res.search_stats : nullptr;
   switch (req.kind) {
     case QueryKind::kSearch: {
       if (!indexed_) return Status::Internal("Search before BuildIndex");
-      if (req.query.size() < 2) {
-        return Status::InvalidArgument("query needs at least 2 points");
-      }
-      if (req.tau < 0) {
-        return Status::InvalidArgument("threshold must be non-negative");
-      }
       AdmissionGate::Ticket ticket;
       double admission_wait = 0.0;
       DITA_RETURN_IF_ERROR(AdmitQuery(req.kind, req.ctx,
@@ -210,8 +253,9 @@ Result<QueryResult> DitaEngine::Execute(const QueryRequest& req) const {
     }
     case QueryKind::kKnnSearch: {
       if (!indexed_) return Status::Internal("KnnSearch before BuildIndex");
-      DITA_RETURN_IF_ERROR(
-          ValidateKnnRequest(req, index_stats_.num_trajectories));
+      if (req.k > index_stats_.num_trajectories) {
+        return Status::InvalidArgument("k exceeds the table cardinality");
+      }
       if (req.k == 0) return res;
       AdmissionGate::Ticket ticket;
       double admission_wait = 0.0;
@@ -236,9 +280,6 @@ Result<QueryResult> DitaEngine::Execute(const QueryRequest& req) const {
       }
       if (cluster_.get() != right.cluster_.get()) {
         return Status::InvalidArgument("joined tables must share a cluster");
-      }
-      if (req.tau < 0) {
-        return Status::InvalidArgument("threshold must be non-negative");
       }
       AdmissionGate::Ticket ticket;
       DITA_RETURN_IF_ERROR(AdmitQuery(req.kind, req.ctx,
@@ -311,10 +352,7 @@ Status DitaEngine::BuildIndex(const Dataset& data) {
     return Status::InvalidArgument("trie leaf capacity must be at least 1");
   }
   for (const Trajectory& t : data.trajectories()) {
-    if (t.size() < 2) {
-      return Status::InvalidArgument(
-          "DITA requires trajectories with at least 2 points");
-    }
+    DITA_RETURN_IF_ERROR(ValidateTrajectory(t));
   }
   WallTimer build_timer;
   obs::SpanGuard build_span(tracer_, "index.build");

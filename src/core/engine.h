@@ -2,6 +2,7 @@
 #define DITA_CORE_ENGINE_H_
 
 #include <memory>
+#include <string>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -153,6 +154,9 @@ struct QueryResult {
 
   /// Serving-layer accounting, zeroed when the query ran on a bare engine.
   struct ServingInfo {
+    /// True when DitaService produced the result (RenderExplain then adds
+    /// the snapshot and delta lines).
+    bool served = false;
     /// Base-index generation the query's pinned snapshot belonged to.
     uint64_t epoch = 0;
     /// Snapshot version (bumped by every ingest op and merge publish).
@@ -174,10 +178,24 @@ struct QueryResult {
   } serving;
 };
 
-/// The kNN request check shared by DitaEngine::Execute and DitaService:
-/// InvalidArgument unless the query has at least 2 points, every coordinate
-/// is finite, and k <= `table_size` (k == 0 passes; it asks for nothing).
-Status ValidateKnnRequest(const QueryRequest& req, size_t table_size);
+/// EXPLAIN text for one result: a header by kind, the base filter funnel,
+/// one stats line for the kind, and, for a DitaService result, the snapshot
+/// it ran against (epoch, version) with the delta scan's counts and funnel.
+std::string RenderExplain(const QueryResult& res);
+
+/// The trajectory check every public entry point shares (index build,
+/// service start, ingest, query): InvalidArgument unless `t` has at least 2
+/// points and every coordinate is finite. A NaN key would break the strict
+/// weak ordering the STR tiling sorts by.
+Status ValidateTrajectory(const Trajectory& t);
+
+/// The request check DitaEngine::Execute and DitaService run once, before
+/// any estimate, cache lookup or admission: a known kind; for search and
+/// kNN a query that passes ValidateTrajectory; for search and join a tau
+/// that is neither NaN nor negative; for a join at most one of join_right /
+/// join_right_service. k is checked against the table where its size is
+/// known (the engine's index, the service's pinned snapshot).
+Status ValidateRequest(const QueryRequest& req);
 
 /// The DITA engine: one indexed trajectory table living on a (simulated)
 /// cluster. Mirrors the system of §3-§6: STR first/last partitioning, global
@@ -196,7 +214,8 @@ class DitaEngine {
 
   /// Partitions `data`, builds the global index and each partition's local
   /// trie (charged to the owning workers), and precomputes verification
-  /// summaries. Requires every trajectory to have at least 2 points.
+  /// summaries. Every trajectory must pass ValidateTrajectory; a rejected
+  /// build leaves the engine as it was.
   Status BuildIndex(const Dataset& data);
 
   bool indexed() const { return indexed_; }
@@ -212,7 +231,8 @@ class DitaEngine {
   /// Estimated cost of `req` in admission units (relevant-partition probes
   /// for searches; for kNN the partitions its seed stage must visit, the
   /// fewest lowest-bound partitions holding k trajectories; partition-pair
-  /// upper bound for joins; always >= 1).
+  /// upper bound for joins; 1 for a request ValidateRequest rejects;
+  /// always >= 1).
   /// Drives the admission gate's cost budget and DitaService's fair-share
   /// slot allocation when QueryRequest::cost_hint is 0.
   uint64_t EstimateQueryCost(const QueryRequest& req) const;

@@ -210,11 +210,8 @@ Status DitaService::Start(const Dataset& initial) {
   auto snap = std::make_shared<TableSnapshot>();
   auto ids = std::make_shared<std::unordered_set<TrajectoryId>>();
   auto data = std::make_shared<std::vector<Trajectory>>(initial.trajectories());
+  // BuildIndex validates every trajectory; only the id check is ours.
   for (const Trajectory& t : *data) {
-    if (t.size() < 2) {
-      return Status::InvalidArgument(
-          "DITA requires trajectories with at least 2 points");
-    }
     if (!ids->insert(t.id()).second) {
       return Status::InvalidArgument("duplicate trajectory id in initial data");
     }
@@ -286,10 +283,7 @@ uint64_t DitaService::merges() const {
 
 Status DitaService::Insert(const Trajectory& t) {
   if (!started_) return Status::Internal("DitaService used before Start");
-  if (t.size() < 2) {
-    return Status::InvalidArgument(
-        "DITA requires trajectories with at least 2 points");
-  }
+  DITA_RETURN_IF_ERROR(ValidateTrajectory(t));
   {
     std::lock_guard<std::mutex> lock(write_mu_);
     const std::shared_ptr<const TableSnapshot> cur = Pin();
@@ -625,6 +619,13 @@ Result<QueryResult> DitaService::ExecuteInternal(const QueryRequest& req,
   rec.merge_overlap_seconds = MergeBusyAt(arrival_seconds);
   double last = NowSeconds();
   rec.queue_seconds = last - arrival_seconds;
+  // One validation at entry, before the cache, the cost estimate and the
+  // scheduler; a rejected request is counted as an error, not as shed.
+  if (Status valid = ValidateRequest(req); !valid.ok()) {
+    Result<QueryResult> res = std::move(valid);
+    FinishRequest(&rec, NowSeconds(), &res);
+    return res;
+  }
 
   // Answer cache (DESIGN.md §5g): a hit returns the stored result without
   // an admission grant — the point of the tier is that repeated reads skip
@@ -702,11 +703,8 @@ Result<QueryResult> DitaService::ExecuteInternal(const QueryRequest& req,
       res = KnnSnapshot(*snap, req, &split);
       break;
     case QueryKind::kJoin: {
-      if (req.join_right_service != nullptr && req.join_right != nullptr) {
-        res = Status::InvalidArgument(
-            "set at most one of join_right / join_right_service");
-      } else if (req.join_right_service != nullptr &&
-                 req.join_right_service != this) {
+      if (req.join_right_service != nullptr &&
+          req.join_right_service != this) {
         if (req.join_right_service->cluster_.get() != cluster_.get()) {
           res = Status::InvalidArgument("joined tables must share a cluster");
         } else {
@@ -744,6 +742,7 @@ Result<QueryResult> DitaService::ExecuteInternal(const QueryRequest& req,
     FinishRequest(&rec, NowSeconds(), &res);
     return res;
   }
+  res->serving.served = true;
   res->serving.epoch = snap->epoch;
   res->serving.version = snap->version;
   m_delta_scanned_.Add(res->serving.delta_scanned);
@@ -816,13 +815,6 @@ Status DitaService::SearchIdsInto(const TableSnapshot& snap,
         out->push_back(id);
       }
     }
-  } else {
-    if (req.query.size() < 2) {
-      return Status::InvalidArgument("query needs at least 2 points");
-    }
-    if (req.tau < 0) {
-      return Status::InvalidArgument("threshold must be non-negative");
-    }
   }
   if (split != nullptr) split->base_done_seconds = NowSeconds();
 
@@ -872,7 +864,9 @@ Result<QueryResult> DitaService::KnnSnapshot(const TableSnapshot& snap,
                                              PhaseSplit* split) const {
   QueryResult res;
   res.kind = QueryKind::kKnnSearch;
-  DITA_RETURN_IF_ERROR(ValidateKnnRequest(req, snap.live_size()));
+  if (req.k > snap.live_size()) {
+    return Status::InvalidArgument("k exceeds the table cardinality");
+  }
   if (req.k == 0) return res;
   KnnTopK top(req.k);
   double proven = std::numeric_limits<double>::infinity();
@@ -926,9 +920,6 @@ Result<QueryResult> DitaService::JoinSnapshots(const TableSnapshot& left,
                                                PhaseSplit* split) const {
   QueryResult res;
   res.kind = QueryKind::kJoin;
-  if (req.tau < 0) {
-    return Status::InvalidArgument("threshold must be non-negative");
-  }
   std::vector<std::pair<TrajectoryId, TrajectoryId>> pairs;
 
   // Term 1: base x base through the distributed join, minus pairs whose
@@ -1007,32 +998,9 @@ Result<QueryResult> DitaService::JoinSnapshots(const TableSnapshot& left,
 // ---------------------------------------------------------------- explain --
 
 void DitaService::RecordExplain(const QueryResult& res) const {
-  std::ostringstream out;
-  const char* kind = res.kind == QueryKind::kSearch
-                         ? "similarity search"
-                         : (res.kind == QueryKind::kJoin ? "trajectory join"
-                                                         : "knn search");
-  out << "== Serving query (" << kind << ") ==\n"
-      << "epoch: " << res.serving.epoch << ", version: " << res.serving.version
-      << "\n";
-  const obs::FilterFunnel& base_funnel = res.kind == QueryKind::kJoin
-                                             ? res.join_stats.funnel
-                                             : res.search_stats.funnel;
-  if (!base_funnel.empty()) out << base_funnel.ToTable();
-  out << "delta: scanned " << res.serving.delta_scanned << ", matched "
-      << res.serving.delta_matches << ", deleted filtered "
-      << res.serving.deleted_filtered << "\n";
-  if (!res.serving.delta_funnel.empty()) {
-    out << res.serving.delta_funnel.ToTable();
-  }
-  const size_t results = res.kind == QueryKind::kSearch
-                             ? res.ids.size()
-                             : (res.kind == QueryKind::kJoin
-                                    ? res.pairs.size()
-                                    : res.neighbors.size());
-  out << "results: " << results << "\n";
+  std::string text = RenderExplain(res);
   std::lock_guard<std::mutex> lock(explain_mu_);
-  last_explain_ = out.str();
+  last_explain_ = std::move(text);
 }
 
 std::string DitaService::ExplainLastQuery() const {

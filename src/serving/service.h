@@ -129,8 +129,8 @@ class AnswerCache {
 ///    inline with synchronous_merge).
 ///  - **Snapshot pinning**: queries pin an immutable TableSnapshot for
 ///    their whole lifetime, so ingest and merges running concurrently never
-///    tear an in-flight query's view; ExplainLastQuery reports the epoch a
-///    query ran against.
+///    tear an in-flight query's view; each result's `serving.epoch` (which
+///    RenderExplain prints) is the epoch the query ran against.
 ///
 /// All three query kinds answer bit-identically to a fresh batch DitaEngine
 /// built on the pinned snapshot's live set (the oracle property
@@ -169,11 +169,12 @@ class DitaService {
   uint64_t cache_evictions() const { return answer_cache_.evictions(); }
   uint64_t cache_invalidations() const { return answer_cache_.invalidations(); }
 
-  /// Streaming ingest. Insert requires >= 2 points and an id that is not
-  /// currently live (re-inserting a deleted id is fine); Delete removes a
-  /// pending insert directly or marks a base id deleted, and returns
-  /// NotFound for ids that are not live. Both publish a new snapshot
-  /// version; in-flight queries keep their pinned view.
+  /// Streaming ingest. Insert requires a trajectory that passes
+  /// ValidateTrajectory and an id that is not currently live (re-inserting
+  /// a deleted id is fine); Delete removes a pending insert directly or
+  /// marks a base id deleted, and returns NotFound for ids that are not
+  /// live. Both publish a new snapshot version; in-flight queries keep their
+  /// pinned view. A rejected write publishes nothing.
   Status Insert(const Trajectory& t);
   Status Delete(TrajectoryId id);
 
@@ -194,9 +195,10 @@ class DitaService {
   /// Epoch merges completed since Start().
   uint64_t merges() const;
 
-  /// EXPLAIN for the most recent query on this service: kind, the epoch /
-  /// version it ran against, the base filter funnel, and the delta-scan
-  /// funnel. Empty string if no query ran yet.
+  /// RenderExplain of the most recent stats-collecting query on this
+  /// service. Under concurrency that is the newest request, not necessarily
+  /// the caller's; RenderExplain(result) explains one specific answer.
+  /// Empty string if no query ran yet.
   std::string ExplainLastQuery() const;
 
   /// Service-level rollup, fed by always-on instrumentation (independent of

@@ -29,7 +29,8 @@ namespace dita {
 ///  - the live set is exactly (base_ids \ deleted) ∪ ids(inserts).
 struct TableSnapshot {
   /// Base-index generation: bumped by every epoch merge (rebuild), never by
-  /// plain ingest. ExplainLastQuery reports the epoch a query ran against.
+  /// plain ingest. QueryResult::serving.epoch reports the one a query ran
+  /// against.
   uint64_t epoch = 0;
   /// Publish counter: bumped by every ingest operation *and* every merge,
   /// so equal versions imply identical live sets.

@@ -1,7 +1,6 @@
 #include "sql/dataframe.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "util/logging.h"
 
@@ -63,10 +62,9 @@ Result<std::vector<TrajectoryId>> DataFrame::SimilaritySearch(
   auto result = (*service)->Execute(req);
   DITA_RETURN_IF_ERROR(result.status());
   if (stats != nullptr) *stats = result->search_stats;
-  state_->last_query_stats = std::move(result->search_stats);
-  state_->last_query_serving = result->serving;
-  state_->has_last_query = true;
-  return std::move(result->ids);
+  std::vector<TrajectoryId> ids = std::move(result->ids);
+  state_->last_query = std::move(*result);
+  return ids;
 }
 
 Result<std::vector<std::pair<TrajectoryId, double>>> DataFrame::KnnSearch(
@@ -96,17 +94,14 @@ Result<std::vector<std::pair<TrajectoryId, TrajectoryId>>> DataFrame::TraJoin(
   auto result = (*left)->Execute(req);
   DITA_RETURN_IF_ERROR(result.status());
   if (stats != nullptr) *stats = result->join_stats;
-  state_->last_join_stats = std::move(result->join_stats);
-  state_->last_join_serving = result->serving;
-  state_->has_last_join = true;
-  return std::move(result->pairs);
+  std::vector<std::pair<TrajectoryId, TrajectoryId>> pairs =
+      std::move(result->pairs);
+  state_->last_join = std::move(*result);
+  return pairs;
 }
 
 Status DataFrame::Insert(const Trajectory& t) {
-  if (t.size() < 2) {
-    return Status::InvalidArgument(
-        "DITA requires trajectories with at least 2 points");
-  }
+  DITA_RETURN_IF_ERROR(ValidateTrajectory(t));
   for (const Trajectory& existing : state_->data.trajectories()) {
     if (existing.id() == t.id()) {
       return Status::InvalidArgument("trajectory id is already live");
@@ -135,43 +130,11 @@ Status DataFrame::Delete(TrajectoryId id) {
 }
 
 std::string DataFrame::ExplainLastQuery() const {
-  if (!state_->has_last_query) return "";
-  const DitaEngine::QueryStats& s = state_->last_query_stats;
-  const QueryResult::ServingInfo& serving = state_->last_query_serving;
-  std::ostringstream out;
-  out << "== Similarity search ==\n"
-      << s.funnel.ToTable() << "partitions probed: " << s.partitions_probed
-      << ", candidates: " << s.candidates << ", results: " << s.results
-      << ", makespan: " << s.makespan_seconds << "s\n";
-  if (serving.epoch > 0 || serving.delta_scanned > 0 ||
-      serving.deleted_filtered > 0) {
-    out << "epoch: " << serving.epoch << ", delta scanned: "
-        << serving.delta_scanned << ", delta matched: "
-        << serving.delta_matches << ", deleted filtered: "
-        << serving.deleted_filtered << "\n";
-  }
-  return out.str();
+  return state_->last_query ? RenderExplain(*state_->last_query) : "";
 }
 
 std::string DataFrame::ExplainLastJoin() const {
-  if (!state_->has_last_join) return "";
-  const DitaEngine::JoinStats& s = state_->last_join_stats;
-  const QueryResult::ServingInfo& serving = state_->last_join_serving;
-  std::ostringstream out;
-  out << "== Trajectory join ==\n"
-      << s.funnel.ToTable() << "graph edges: " << s.graph_edges
-      << ", divided partitions: " << s.divided_partitions
-      << ", bytes shipped: " << s.bytes_shipped
-      << ", result pairs: " << s.result_pairs
-      << ", makespan: " << s.makespan_seconds << "s\n";
-  if (serving.epoch > 0 || serving.delta_scanned > 0 ||
-      serving.deleted_filtered > 0) {
-    out << "epoch: " << serving.epoch << ", delta scanned: "
-        << serving.delta_scanned << ", delta matched: "
-        << serving.delta_matches << ", deleted filtered: "
-        << serving.deleted_filtered << "\n";
-  }
-  return out.str();
+  return state_->last_join ? RenderExplain(*state_->last_join) : "";
 }
 
 }  // namespace dita

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -69,14 +70,13 @@ class DataFrame {
   Status Insert(const Trajectory& t);
   Status Delete(TrajectoryId id);
 
-  /// EXPLAIN for the most recent SimilaritySearch on any copy of this
-  /// DataFrame: filter-funnel table, a one-line summary, and — once the
-  /// DataFrame has mutated — the epoch the query ran against. Empty string
-  /// if no search ran yet.
+  /// RenderExplain of the most recent SimilaritySearch on any copy of this
+  /// DataFrame: filter-funnel table, a one-line summary, and the snapshot
+  /// the query ran against. Empty string if no search ran yet.
   std::string ExplainLastQuery() const;
 
-  /// EXPLAIN for the most recent TraJoin where this DataFrame was the left
-  /// side. Empty string if no join ran yet.
+  /// RenderExplain of the most recent TraJoin where this DataFrame was the
+  /// left side. Empty string if no join ran yet.
   std::string ExplainLastJoin() const;
 
   size_t size() const { return state_->data.size(); }
@@ -94,15 +94,12 @@ class DataFrame {
     DataFrameContext* context = nullptr;
     Dataset data;
     std::map<DistanceType, std::shared_ptr<DitaService>> services;
-    /// Stats of the newest search/join, kept for ExplainLast*(). DataFrame
-    /// calls always collect stats — it is the convenience API, and the
-    /// collection cost is one funnel per operation, not per candidate.
-    DitaEngine::QueryStats last_query_stats;
-    QueryResult::ServingInfo last_query_serving;
-    bool has_last_query = false;
-    DitaEngine::JoinStats last_join_stats;
-    QueryResult::ServingInfo last_join_serving;
-    bool has_last_join = false;
+    /// The newest search/join result (answer moved out), kept for
+    /// ExplainLast*(). DataFrame calls always collect stats — it is the
+    /// convenience API, and the collection cost is one funnel per
+    /// operation, not per candidate.
+    std::optional<QueryResult> last_query;
+    std::optional<QueryResult> last_join;
   };
 
   explicit DataFrame(std::shared_ptr<State> state) : state_(std::move(state)) {}

@@ -30,9 +30,7 @@ Status SqlEngine::RegisterTable(const std::string& name, Dataset data) {
 }
 
 Status SqlEngine::BindTrajectory(const std::string& name, Trajectory trajectory) {
-  if (trajectory.size() < 2) {
-    return Status::InvalidArgument("query trajectory needs at least 2 points");
-  }
+  DITA_RETURN_IF_ERROR(ValidateTrajectory(trajectory));
   parameters_[StrToUpper(name)] = std::move(trajectory);
   return Status::OK();
 }

@@ -35,7 +35,8 @@ class SqlEngine {
   /// Registers (or replaces) a table.
   Status RegisterTable(const std::string& name, Dataset data);
 
-  /// Binds a named query trajectory usable as `@name` in WHERE clauses.
+  /// Binds a named query trajectory usable as `@name` in WHERE clauses;
+  /// InvalidArgument when it fails ValidateTrajectory.
   Status BindTrajectory(const std::string& name, Trajectory trajectory);
 
   /// Parses and executes one statement.

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -334,31 +333,6 @@ TEST(KnnOracleStopped, ServiceStoppedSweepIsPrefixOfLiveAnswer) {
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     SCOPED_TRACE("cancel_at=" + std::to_string(cancel_at));
     ExpectPrefix(got->neighbors, full->neighbors, k, ctx, got->search_stats);
-  }
-}
-
-TEST(KnnOracleValidation, NonFiniteQueryIsInvalidArgument) {
-  const DitaConfig config = SmallConfig(DistanceType::kDTW);
-  const Dataset table = CityDataset(60, 68);
-  DitaEngine engine(MakeCluster(), config);
-  ASSERT_TRUE(engine.BuildIndex(table).ok());
-  DitaService service(MakeCluster(), config);
-  ASSERT_TRUE(service.Start(table).ok());
-
-  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
-                           std::numeric_limits<double>::infinity()}) {
-    std::vector<Point> pts = table[3].points();
-    pts[1].y = bad;
-    QueryRequest req;
-    req.kind = QueryKind::kKnnSearch;
-    req.query = Trajectory(1, pts);
-    req.k = 5;
-    const auto from_engine = engine.Execute(req);
-    ASSERT_FALSE(from_engine.ok());
-    EXPECT_EQ(from_engine.status().code(), Status::Code::kInvalidArgument);
-    const auto from_service = service.Execute(req);
-    ASSERT_FALSE(from_service.ok());
-    EXPECT_EQ(from_service.status().code(), Status::Code::kInvalidArgument);
   }
 }
 

@@ -158,11 +158,19 @@ TEST(FlightRecorderTest, ConcurrentWritersAndReadersSeeConsistentRecords) {
 
   EXPECT_EQ(rec.total_recorded(), kWriters * kPerWriter);
   EXPECT_GT(snapshots_taken.load(), 0u);
-  // Quiescent snapshot is full and strictly ticket-ordered.
+  // Quiescent snapshot is full and ticket-ordered. Writers take tickets in
+  // any order relative to each other, so only each writer's own records
+  // (epoch == w) are ordered by request_id: a writer records in program
+  // order, so its tickets grow with its ids.
   const std::vector<obs::RequestRecord> snap = rec.Snapshot();
   ASSERT_EQ(snap.size(), rec.capacity());
-  for (size_t i = 1; i < snap.size(); ++i) {
-    EXPECT_LT(snap[i - 1].request_id, snap[i].request_id);
+  std::vector<int64_t> last_id(kWriters, -1);
+  for (const obs::RequestRecord& r : snap) {
+    EXPECT_DOUBLE_EQ(r.total_seconds, static_cast<double>(r.request_id));
+    ASSERT_EQ(r.epoch, r.request_id % kWriters);
+    int64_t& last = last_id[r.epoch];
+    EXPECT_LT(last, static_cast<int64_t>(r.request_id)) << "writer " << r.epoch;
+    last = static_cast<int64_t>(r.request_id);
   }
 }
 

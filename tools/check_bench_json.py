@@ -16,6 +16,10 @@ helpers live in bench_json_common.py, which obs_report.py reuses):
    default tolerance is deliberately loose — the smoke pass runs the
    benches in --quick mode on whatever loaded machine CI gives us, so only
    collapse-sized regressions (half the baseline throughput) should gate.
+   Numbers from different builds or hosts are not comparable: when the two
+   files differ in ``meta.build_type`` or ``meta.hardware_threads`` the diff
+   is refused with exit status 2, naming the field (perfbench/compare.py
+   refuses the same way).
 
 Usage:
   check_bench_json.py micro_filter <json> [--baseline <json>] [--tolerance F]
@@ -218,6 +222,16 @@ def check_metrics_export(doc):
     return errors
 
 
+# Provenance a baseline diff requires to match (exit 2 otherwise).
+COMPARABLE_META = ("meta.build_type", "meta.hardware_threads")
+
+
+def incomparable_meta(doc, base):
+    """Names and values of the COMPARABLE_META fields that differ."""
+    return [f"{path} ({lookup(doc, path)!r} vs baseline {lookup(base, path)!r})"
+            for path in COMPARABLE_META if lookup(doc, path) != lookup(base, path)]
+
+
 def check_baseline(kind, doc, base, tolerance):
     errors = []
     for path in THROUGHPUT_KEYS[kind]:
@@ -258,6 +272,11 @@ def main():
             errors.append(f"{path} must be 0, got {val}")
     if args.baseline:
         base = load_json(args.baseline)
+        differ = incomparable_meta(doc, base)
+        if differ:
+            print(f"check_bench_json[{args.kind}]: refused: baseline differs "
+                  f"in {', '.join(differ)}", file=sys.stderr)
+            return 2
         errors.extend(check_baseline(args.kind, doc, base, args.tolerance))
 
     if errors:
