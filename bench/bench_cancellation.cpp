@@ -16,6 +16,9 @@
 //    to keep this under 2%.
 //
 // Emits BENCH_cancellation.json next to the other BENCH_*.json files.
+// Flags: the common bench CLI (bench::ParseArgs). --out=PATH moves the JSON;
+// --quick runs 16 cancel trials instead of 128 and 3 interleaved 10 ms
+// windows per side instead of 15 of 100 ms (smoke mode; noisy numbers).
 
 #include <algorithm>
 #include <cstdio>
@@ -54,16 +57,22 @@ TrieIndex::Options BenchTrieOptions() {
   return opts;
 }
 
-/// Times `fn` until ~`window_s` of wall clock has elapsed; ns per call.
+/// Measurement effort; --quick shrinks all three.
+double g_window_seconds = 0.1;
+int g_min_reps = 15;
+int g_cancel_trials = 128;
+
+/// Times `fn` until ~g_window_seconds of wall clock has elapsed; ns per
+/// call.
 template <typename Fn>
-double NsPerCall(Fn&& fn, double window_s = 0.1) {
+double NsPerCall(Fn&& fn) {
   fn();  // warm-up
   size_t done = 0;
   WallTimer timer;
   do {
     fn();
     ++done;
-  } while (timer.Seconds() < window_s);
+  } while (timer.Seconds() < g_window_seconds);
   return timer.Seconds() * 1e9 / static_cast<double>(done);
 }
 
@@ -75,9 +84,8 @@ double NsPerCall(Fn&& fn, double window_s = 0.1) {
 /// measured.
 template <typename FnA, typename FnB>
 std::pair<double, double> MinPairNs(FnA&& a, FnB&& b) {
-  constexpr int kReps = 15;
   double na = 1e300, nb = 1e300;
-  for (int i = 0; i < kReps; ++i) {
+  for (int i = 0; i < g_min_reps; ++i) {
     na = std::min(na, NsPerCall(a));
     nb = std::min(nb, NsPerCall(b));
   }
@@ -164,8 +172,10 @@ void WriteCancellationJson(const char* path) {
   {
     const double tau = 0.2;
     std::vector<uint32_t> out;
-    const std::vector<uint64_t> overshoot = AsyncCancelOvershoot(
-        128, rng, [&](QueryContext& ctx) { collect_batch(&ctx, tau, out); });
+    const std::vector<uint64_t> overshoot =
+        AsyncCancelOvershoot(g_cancel_trials, rng, [&](QueryContext& ctx) {
+          collect_batch(&ctx, tau, out);
+        });
     json += OvershootJson("time_to_stop_trie_node_visits", overshoot);
     std::printf("time-to-stop   trie (tau=%.2f) p50=%llu p99=%llu node "
                 "visits (%zu trials)\n",
@@ -180,7 +190,7 @@ void WriteCancellationJson(const char* path) {
   // the columns one poll batch spans.
   {
     const std::vector<uint64_t> overshoot =
-        AsyncCancelOvershoot(128, rng, [&](QueryContext& ctx) {
+        AsyncCancelOvershoot(g_cancel_trials, rng, [&](QueryContext& ctx) {
           // Scratch is thread-local to the worker: extract inside the body.
           static thread_local DpScratch scratch;
           scratch.SetQueryContext(&ctx);
@@ -260,7 +270,14 @@ void WriteCancellationJson(const char* path) {
 }  // namespace
 }  // namespace dita
 
-int main() {
-  dita::WriteCancellationJson("BENCH_cancellation.json");
+int main(int argc, char** argv) {
+  const dita::bench::Args args = dita::bench::ParseArgs(argc, argv);
+  if (args.quick) {
+    dita::g_window_seconds = 0.01;
+    dita::g_min_reps = 3;
+    dita::g_cancel_trials = 16;
+  }
+  dita::WriteCancellationJson(
+      args.out.empty() ? "BENCH_cancellation.json" : args.out.c_str());
   return 0;
 }

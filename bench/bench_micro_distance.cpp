@@ -7,7 +7,12 @@
 // BENCH_micro_distance.json (ns/pair per distance type and trajectory length,
 // DTW WithinThreshold ns/pair per threshold regime, and verification
 // throughput in pairs/sec) so the perf trajectory of the verification layer
-// is tracked across PRs. Pass --skip_json to go straight to google-benchmark.
+// is tracked across PRs, then runs the google-benchmark suite.
+//
+// Flags: the common bench CLI (bench::ParseArgs). --out=PATH moves the JSON
+// (default BENCH_micro_distance.json in the working directory); --quick
+// shortens every timing window to 10 ms and skips the google-benchmark
+// suite. google-benchmark's own --benchmark_* flags pass through.
 
 #include <benchmark/benchmark.h>
 
@@ -194,8 +199,11 @@ std::vector<Pair> MakePairs(const std::vector<Trajectory>& ts) {
   return pairs;
 }
 
-/// Times `fn` over the pair list until ~80ms of wall clock has elapsed;
-/// returns ns per pair.
+/// Wall-clock window of each JSON timing loop; --quick shrinks it.
+double g_measure_seconds = 0.08;
+
+/// Times `fn` over the pair list until ~g_measure_seconds of wall clock has
+/// elapsed; returns ns per pair.
 template <typename Fn>
 double NsPerPair(const std::vector<Pair>& pairs, Fn&& fn) {
   // Warm-up pass (also faults in memory / populates scratch buffers).
@@ -205,7 +213,7 @@ double NsPerPair(const std::vector<Pair>& pairs, Fn&& fn) {
   do {
     for (const Pair& p : pairs) fn(*p.a, *p.b);
     done += pairs.size();
-  } while (timer.Seconds() < 0.08);
+  } while (timer.Seconds() < g_measure_seconds);
   return timer.Seconds() * 1e9 / static_cast<double>(done);
 }
 
@@ -311,7 +319,7 @@ void WriteMicroJson(const char* path) {
             verifier.Verify(ts[i], pre[i], ts[j], pre[j], tau, nullptr));
       }
       done += idx_pairs.size();
-    } while (timer.Seconds() < 0.08);
+    } while (timer.Seconds() < g_measure_seconds);
     const double pairs_per_sec = static_cast<double>(done) / timer.Seconds();
     char buf[96];
     std::snprintf(buf, sizeof(buf), "    \"%s\": %.0f",
@@ -337,13 +345,22 @@ void WriteMicroJson(const char* path) {
 }  // namespace dita
 
 int main(int argc, char** argv) {
-  bool skip_json = false;
+  // google-benchmark's flags go to it; everything else is the common CLI.
+  std::vector<char*> ours = {argv[0]};
+  std::vector<char*> gbench = {argv[0]};
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--skip_json") == 0) skip_json = true;
+    (std::strncmp(argv[i], "--benchmark_", 12) == 0 ? gbench : ours)
+        .push_back(argv[i]);
   }
-  if (!skip_json) dita::WriteMicroJson("BENCH_micro_distance.json");
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  const dita::bench::Args args =
+      dita::bench::ParseArgs(static_cast<int>(ours.size()), ours.data());
+  if (args.quick) dita::g_measure_seconds = 0.01;
+  dita::WriteMicroJson(
+      args.out.empty() ? "BENCH_micro_distance.json" : args.out.c_str());
+  if (args.quick) return 0;  // smoke mode: JSON only
+  int gargc = static_cast<int>(gbench.size());
+  benchmark::Initialize(&gargc, gbench.data());
+  if (benchmark::ReportUnrecognizedArguments(gargc, gbench.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

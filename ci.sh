@@ -16,7 +16,7 @@
 #   ./ci.sh obs        # observability: traced demo + schema check + tsan
 #                      # build with tracing/metrics enabled
 #   ./ci.sh chaos      # robustness: seeded chaos/soak + cancellation +
-#                      # admission tests under ASan/UBSan and TSan
+#                      # scheduler tests under ASan/UBSan and TSan
 #   ./ci.sh serving    # serving runtime: scheduler/ingest/oracle tests plus
 #                      # the concurrent snapshot-pinning soak under TSan
 #   ./ci.sh bench-smoke # quick-mode micro-filter + serving benches; emitted
@@ -60,13 +60,14 @@ native_filter='Oracle|ThresholdEdge|DpScratch|Dtw|Frechet|Edr|Lcss|Erp|Distance|
 tsan_filter='ThreadPool|FlatTrie|FlatRTree|FlatStrTile|StrTile|Verif|Cluster|Engine|FaultTolerance|Partition|Obs|Logging|FlightRecorder|Cancellation|AdmissionGate|ChaosSoak|Serving|QueryScheduler|DitaService|AnswerCache|KnnOracle|RequestBoundary'
 
 # The chaos pass: the seeded chaos/soak harness (fault injection + random
-# mid-flight cancellation + tight budgets + the admission gate) plus the
-# cancellation/budget subset-invariant tests, under ASan/UBSan (leaks,
-# lifetime — budgets released on every exit path) and TSan (deadlocks,
-# races on the stop token and gate) across the fixed seed matrix baked into
+# mid-flight cancellation + tight budgets + DitaService's scheduler) plus
+# the cancellation/budget subset-invariant tests and the scheduler's queue
+# cases, under ASan/UBSan (leaks, lifetime — budgets and slots released on
+# every exit path) and TSan (deadlocks, races on the stop token and the
+# scheduler queue) across the fixed seed matrix baked into
 # chaos_soak_test.cc, plus the kNN oracle's stopped-sweep prefix cases and
 # the malformed-input cases of the request boundary.
-chaos_filter='ChaosSoak|Cancellation|AdmissionGate|KnnOracle|RequestBoundary'
+chaos_filter='ChaosSoak|Cancellation|AdmissionGate|QueryScheduler|KnnOracle|RequestBoundary'
 
 # The obs pass: exporter schema validation (obs_demo_schema runs the demo
 # with tracing and re-validates its Chrome trace, now including the serving
@@ -77,14 +78,14 @@ chaos_filter='ChaosSoak|Cancellation|AdmissionGate|KnnOracle|RequestBoundary'
 # are race-checked with observability ON.
 obs_filter='Obs|Funnel|Logging|FlightRecorder|obs_demo_schema'
 
-# The serving pass: the unified-API alias tests, scheduler fair-share and
-# cost-admission regressions, the streaming-ingest batch-oracle property,
-# the answer-cache staleness/LRU suite, the request-boundary rejections,
-# and the concurrent soak (ingest +
-# background epoch merges + sync/async queries racing) — plain first, then
-# under TSan so snapshot pinning, the merge thread, and the executor pool
-# are race-checked.
-serving_filter='Serving|QueryScheduler|AdmissionGateCost|ExecuteAlias|DitaService|DataFrame|AnswerCache|RequestBoundary'
+# The serving pass: the unified-API alias tests, the scheduler's fair-share,
+# queueing and bypass cases, the Submit/Stop race, the streaming-ingest
+# batch-oracle property, the answer-cache staleness/LRU suite, the
+# request-boundary rejections, and the concurrent soak (ingest + background
+# epoch merges + sync/async queries racing) — plain first, then under TSan
+# so snapshot pinning, the merge thread, and the executor pool are
+# race-checked.
+serving_filter='Serving|QueryScheduler|ExecuteAlias|DitaService|DataFrame|AnswerCache|RequestBoundary'
 
 case "${mode}" in
   plain)    run_pass build ;;

@@ -68,25 +68,19 @@ struct DitaConfig {
     bool enable_cell = true;
   };
 
-  /// Long-lived serving runtime knobs: admission control on the engine's
-  /// query entry points, and — through DitaService — fair-share query
-  /// scheduling, streaming ingest, and background epoch merges.
+  /// Long-lived serving runtime knobs: the cluster stage deadline every
+  /// engine honours, and — through DitaService — admission by the
+  /// fair-share QueryScheduler, streaming ingest, background epoch merges
+  /// and the answer cache. The bare engine has no admission control.
   struct ServingOptions {
-    /// Admission gate: maximum queries (Search / Join / KnnSearch) allowed
-    /// in flight concurrently. Excess queries wait in FIFO order up to
-    /// `max_queued_queries` deep; beyond that they are shed immediately
-    /// with Status::Unavailable — overload degrades into fast rejections
-    /// rather than unbounded queueing. 0 disables the gate.
+    /// DitaService scheduler bounds: at most `max_inflight_queries`
+    /// queries run concurrently (0 defaults to the scheduler's slot count);
+    /// up to `max_queued_queries` more wait in FIFO order (0 defaults to
+    /// 64); beyond that requests are shed with Status::Unavailable, so
+    /// overload degrades into fast rejections rather than unbounded
+    /// queueing.
     size_t max_inflight_queries = 0;
     size_t max_queued_queries = 0;
-
-    /// Admission cost budget: total estimated cost units (see
-    /// QueryRequest::cost_hint / DitaEngine::EstimateQueryCost) admitted
-    /// concurrently. With a cost budget, one giant join consumes most of
-    /// the budget by itself and cheap point searches keep flowing past it
-    /// (bounded head-of-line bypass); without it the gate keys on query
-    /// count alone. 0 disables cost accounting.
-    uint64_t max_inflight_cost = 0;
 
     /// Virtual-time budget per cluster stage (search probes, join
     /// ship/probe, index build). A stage whose slowest worker exceeds it
@@ -104,7 +98,7 @@ struct DitaConfig {
     size_t scheduler_threads = 2;
 
     /// How many times a small query may bypass a larger one stuck at the
-    /// head of the scheduler/gate queue before the large query's turn
+    /// head of the scheduler queue before the large query's turn
     /// becomes mandatory (starvation bound).
     size_t max_bypass = 16;
 

@@ -110,24 +110,12 @@ DitaEngine::DitaEngine(std::shared_ptr<Cluster> cluster, const DitaConfig& confi
   m_verify_dp_cells_ = {metrics_, "verify.dp.cells"};
   m_verify_accepted_ = {metrics_, "verify.accepted"};
   h_query_candidates_ = {metrics_, "query.candidates", obs::CountOptions()};
-  m_query_admitted_ = {metrics_, "query.admitted"};
-  m_query_shed_ = {metrics_, "query.shed"};
-  m_query_shed_search_ = {metrics_, "query.shed.search"};
-  m_query_shed_join_ = {metrics_, "query.shed.join"};
-  m_query_shed_knn_ = {metrics_, "query.shed.knn"};
   m_query_degraded_ = {metrics_, "query.degraded"};
-  h_admission_wait_ = {metrics_, "query.admission_wait_seconds",
-                       obs::LatencyOptions()};
   if (config_.verify.threads > 0) {
     verify_pool_ = std::make_unique<ThreadPool>(config_.verify.threads);
   }
   if (config_.build.threads > 0) {
     build_pool_ = std::make_unique<ThreadPool>(config_.build.threads);
-  }
-  if (config_.serving.max_inflight_queries > 0) {
-    gate_ = std::make_unique<AdmissionGate>(AdmissionGate::Options{
-        config_.serving.max_inflight_queries, config_.serving.max_queued_queries,
-        config_.serving.max_inflight_cost, config_.serving.max_bypass});
   }
 }
 
@@ -171,35 +159,6 @@ bool DitaEngine::ShouldDegrade(const QueryContext* ctx, const Status& stage) {
   }
 }
 
-Status DitaEngine::AdmitQuery(QueryKind kind, QueryContext* ctx, uint64_t cost,
-                              AdmissionGate::Ticket* ticket,
-                              double* waited_seconds) const {
-  if (waited_seconds != nullptr) *waited_seconds = 0.0;
-  if (gate_ == nullptr) return Status::OK();
-  double waited = 0.0;
-  const Status s = gate_->Admit(ctx, cost, ticket, &waited);
-  if (waited_seconds != nullptr) *waited_seconds = waited;
-  h_admission_wait_.Observe(waited);
-  if (s.ok()) {
-    m_query_admitted_.Increment();
-  } else {
-    m_query_shed_.Increment();
-    switch (kind) {
-      case QueryKind::kSearch:
-        m_query_shed_search_.Increment();
-        break;
-      case QueryKind::kJoin:
-        m_query_shed_join_.Increment();
-        break;
-      case QueryKind::kKnnSearch:
-        m_query_shed_knn_.Increment();
-        break;
-    }
-    if (tracer_ != nullptr) tracer_->Instant("query.shed");
-  }
-  return s;
-}
-
 uint64_t DitaEngine::EstimateQueryCost(const QueryRequest& req) const {
   if (req.cost_hint > 0) return req.cost_hint;
   // Probes and sweep plans must never see a malformed request.
@@ -240,14 +199,8 @@ Result<QueryResult> DitaEngine::Execute(const QueryRequest& req) const {
   switch (req.kind) {
     case QueryKind::kSearch: {
       if (!indexed_) return Status::Internal("Search before BuildIndex");
-      AdmissionGate::Ticket ticket;
-      double admission_wait = 0.0;
-      DITA_RETURN_IF_ERROR(AdmitQuery(req.kind, req.ctx,
-                                      EstimateQueryCost(req), &ticket,
-                                      &admission_wait));
       auto r = SearchImpl(req.query, req.tau, qstats, req.ctx);
       DITA_RETURN_IF_ERROR(r.status());
-      if (qstats != nullptr) qstats->admission_wait_seconds = admission_wait;
       res.ids = std::move(*r);
       return res;
     }
@@ -257,14 +210,8 @@ Result<QueryResult> DitaEngine::Execute(const QueryRequest& req) const {
         return Status::InvalidArgument("k exceeds the table cardinality");
       }
       if (req.k == 0) return res;
-      AdmissionGate::Ticket ticket;
-      double admission_wait = 0.0;
-      DITA_RETURN_IF_ERROR(AdmitQuery(req.kind, req.ctx,
-                                      EstimateQueryCost(req), &ticket,
-                                      &admission_wait));
       auto r = KnnSearchImpl(req.query, req.k, qstats, req.ctx);
       DITA_RETURN_IF_ERROR(r.status());
-      if (qstats != nullptr) qstats->admission_wait_seconds = admission_wait;
       res.neighbors = std::move(*r);
       return res;
     }
@@ -281,9 +228,6 @@ Result<QueryResult> DitaEngine::Execute(const QueryRequest& req) const {
       if (cluster_.get() != right.cluster_.get()) {
         return Status::InvalidArgument("joined tables must share a cluster");
       }
-      AdmissionGate::Ticket ticket;
-      DITA_RETURN_IF_ERROR(AdmitQuery(req.kind, req.ctx,
-                                      EstimateQueryCost(req), &ticket));
       auto r = JoinImpl(right, req.tau,
                         req.collect_stats ? &res.join_stats : nullptr, req.ctx);
       DITA_RETURN_IF_ERROR(r.status());

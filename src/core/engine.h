@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "core/admission.h"
 #include "core/config.h"
 #include "core/global_index.h"
 #include "core/knn.h"
@@ -56,10 +55,6 @@ struct QueryStats {
   /// before it stopped; 1.0 for complete queries. (For kNN: fraction of
   /// the requested k that was found.)
   double completeness = 1.0;
-  /// Wall-clock seconds spent queued at the engine's admission gate (0 when
-  /// the gate is off). Reported even when the query was shed or abandoned
-  /// its queue slot — see AdmissionGate::Admit.
-  double admission_wait_seconds = 0.0;
 };
 
 /// Per-join observability (Figs. 9-11, 16).
@@ -122,13 +117,14 @@ struct QueryRequest {
   /// highest priority; higher values yield smaller shares.
   int priority = 1;
 
-  /// Estimated cost in admission units for the gate / scheduler; 0 lets
-  /// the engine estimate it from global-index statistics
-  /// (EstimateQueryCost).
+  /// Estimated cost in DitaService scheduler slots; 0 lets
+  /// EstimateQueryCost derive it from global-index statistics. Only the
+  /// service's scheduler reads it.
   uint64_t cost_hint = 0;
 
   /// Optional cooperative cancellation / deadline / budget token; see
-  /// DitaEngine::Search.
+  /// DitaEngine::Search. Under DitaService it also bounds the request's
+  /// wait in the scheduler queue.
   QueryContext* ctx = nullptr;
 
   /// When false the engine skips per-query stat/funnel collection and the
@@ -223,18 +219,19 @@ class DitaEngine {
   const DitaConfig& config() const { return config_; }
   const Cluster& cluster() const { return *cluster_; }
 
-  /// The single query entry point: validates, admits (cost-aware when the
-  /// gate has a cost budget), and dispatches on `req.kind`. All public
-  /// query methods below are exact aliases over this.
+  /// The single query entry point: validates, checks that the index is
+  /// built, and dispatches on `req.kind`. All public query methods below
+  /// are exact aliases over this. Admission belongs to DitaService's
+  /// scheduler; the bare engine runs every query it is given.
   Result<QueryResult> Execute(const QueryRequest& req) const;
 
-  /// Estimated cost of `req` in admission units (relevant-partition probes
+  /// Estimated cost of `req` in scheduler slots (relevant-partition probes
   /// for searches; for kNN the partitions its seed stage must visit, the
   /// fewest lowest-bound partitions holding k trajectories; partition-pair
   /// upper bound for joins; 1 for a request ValidateRequest rejects;
   /// always >= 1).
-  /// Drives the admission gate's cost budget and DitaService's fair-share
-  /// slot allocation when QueryRequest::cost_hint is 0.
+  /// Drives DitaService's fair-share slot allocation (QueryScheduler) when
+  /// QueryRequest::cost_hint is 0.
   uint64_t EstimateQueryCost(const QueryRequest& req) const;
 
   /// Threshold similarity search (Definition 2.4, §5): all trajectory ids T
@@ -329,7 +326,7 @@ class DitaEngine {
       QueryContext* ctx, const Cluster::CostSnapshot& snap,
       size_t* total_candidates_out) const;
 
-  /// The un-gated query bodies; Execute admits once, then dispatches here.
+  /// The query bodies; Execute validates once, then dispatches here.
   Result<std::vector<TrajectoryId>> SearchImpl(const Trajectory& q, double tau,
                                                QueryStats* stats,
                                                QueryContext* ctx) const;
@@ -378,15 +375,6 @@ class DitaEngine {
   /// degrade.
   static bool ShouldDegrade(const QueryContext* ctx, const Status& stage);
 
-  /// Acquires an admission ticket when the gate is enabled; on shed or
-  /// queue-abandon the returned status is the caller's answer. `cost` is
-  /// the query's estimated admission cost. Sheds are counted both globally
-  /// and per query kind; `waited_seconds` (optional) receives the gate
-  /// queue wait on every exit path, shed included.
-  Status AdmitQuery(QueryKind kind, QueryContext* ctx, uint64_t cost,
-                    AdmissionGate::Ticket* ticket,
-                    double* waited_seconds = nullptr) const;
-
   /// Per-trajectory global relevance test against a partition summary —
   /// the "has candidates in Qj" check of §6.2's trans estimation.
   bool TrajectoryRelevantTo(const Trajectory& t,
@@ -426,14 +414,8 @@ class DitaEngine {
   std::vector<Partition> partitions_;
   IndexStats index_stats_;
   bool indexed_ = false;
-  /// Admission gate (null when ServingOptions::max_inflight_queries == 0).
-  /// Mutable: taking a ticket is bookkeeping, not an engine mutation.
-  mutable std::unique_ptr<AdmissionGate> gate_;
 
  public:
-  /// Gate counters for tests / dashboards; null when the gate is disabled.
-  const AdmissionGate* admission_gate() const { return gate_.get(); }
-
   /// Releases the grow-once trie/verify scratch arenas of the engine's own
   /// pool threads and the calling thread. Idempotent; called by the
   /// destructor so engine teardown returns scratch memory instead of
@@ -460,15 +442,7 @@ class DitaEngine {
   obs::CounterHandle m_verify_dp_cells_;
   obs::CounterHandle m_verify_accepted_;
   obs::HistogramHandle h_query_candidates_;
-  obs::CounterHandle m_query_admitted_;
-  obs::CounterHandle m_query_shed_;
-  /// Per-kind shed breakdown (query.shed.{search,join,knn}); the global
-  /// query.shed counter stays the sum.
-  obs::CounterHandle m_query_shed_search_;
-  obs::CounterHandle m_query_shed_join_;
-  obs::CounterHandle m_query_shed_knn_;
   obs::CounterHandle m_query_degraded_;
-  obs::HistogramHandle h_admission_wait_;
 };
 
 }  // namespace dita

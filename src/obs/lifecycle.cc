@@ -1,6 +1,7 @@
 #include "obs/lifecycle.h"
 
 #include <bit>
+#include <thread>
 
 namespace dita::obs {
 
@@ -63,10 +64,26 @@ void FlightRecorder::Record(const RequestRecord& r) {
   Slot& slot = slots_[ticket & mask_];
   uint64_t words[kWords];
   Encode(r, words);
-  // Seqlock write: odd marks the slot torn, the release fence orders the
-  // odd mark before the payload stores, the release publish orders the
-  // payload before the even mark (Boehm's seqlock-with-atomics recipe).
-  slot.seq.store(2 * ticket + 1, std::memory_order_relaxed);
+  // Claim the slot (odd marks it torn). Tickets ticket - k * capacity()
+  // map here too: a newer one already owning it makes this record stale;
+  // an older one mid-write is waited out rather than interleaved with.
+  uint64_t seq = slot.seq.load(std::memory_order_relaxed);
+  while (true) {
+    if (seq > 2 * ticket) return;
+    if (seq % 2 == 1) {
+      std::this_thread::yield();
+      seq = slot.seq.load(std::memory_order_relaxed);
+    } else if (slot.seq.compare_exchange_weak(seq, 2 * ticket + 1,
+                                              std::memory_order_acquire,
+                                              std::memory_order_relaxed)) {
+      // Acquire pairs with the previous owner's release publish, so its
+      // payload stores precede ours in every word's modification order.
+      break;
+    }
+  }
+  // Seqlock write: the release fence orders the odd mark before the payload
+  // stores, the release publish orders the payload before the even mark
+  // (Boehm's seqlock-with-atomics recipe).
   std::atomic_thread_fence(std::memory_order_release);
   for (size_t i = 0; i < kWords; ++i) {
     slot.words[i].store(words[i], std::memory_order_relaxed);

@@ -81,8 +81,12 @@ struct RequestRecord {
 /// seqlock: seq = 2t+1 while writing ticket t, 2t+2 once published. The
 /// record payload is stored as relaxed atomic words, so concurrent
 /// writer/reader overlap is well-defined (no data race, TSan-clean) and the
-/// seq check filters mixed-generation slots out of snapshots. Record() is
-/// wait-free apart from the single fetch_add and never allocates.
+/// seq check filters mixed-generation slots out of snapshots. A writer
+/// claims its slot with a CAS on seq: a record whose slot already holds a
+/// newer ticket is dropped (it has left the ring's window anyway), and one
+/// whose slot is still being written by an older ticket waits for that
+/// write to finish, so a preempted writer can never overwrite a newer
+/// record. Record() never allocates.
 class FlightRecorder {
  public:
   /// `capacity` is rounded up to a power of two; 0 disables recording.

@@ -157,10 +157,8 @@ DitaService::DitaService(std::shared_ptr<Cluster> cluster,
                          const DitaConfig& config)
     : cluster_(std::move(cluster)),
       config_(config),
-      base_config_(config),
       flight_recorder_(config.serving.flight_recorder_entries) {
   DITA_CHECK(cluster_ != nullptr);
-  base_config_.serving.max_inflight_queries = 0;
   auto dist = MakeDistance(config_.distance, config_.distance_params);
   DITA_CHECK(dist.ok());
   distance_ = *dist;
@@ -217,7 +215,7 @@ Status DitaService::Start(const Dataset& initial) {
     }
   }
   if (!data->empty()) {
-    auto base = std::make_shared<DitaEngine>(cluster_, base_config_);
+    auto base = std::make_shared<DitaEngine>(cluster_, config_);
     DITA_RETURN_IF_ERROR(base->BuildIndex(initial));
     snap->base = std::move(base);
   }
@@ -416,7 +414,7 @@ Status DitaService::MergeOnce() {
 
   std::shared_ptr<DitaEngine> base;
   if (!new_data.empty()) {
-    base = std::make_shared<DitaEngine>(cluster_, base_config_);
+    base = std::make_shared<DitaEngine>(cluster_, config_);
     const Status built = base->BuildIndex(Dataset(new_data));
     if (!built.ok()) {
       std::lock_guard<std::mutex> lock(write_mu_);
@@ -763,12 +761,15 @@ std::future<Result<QueryResult>> DitaService::Submit(QueryRequest req) const {
   job.req = std::move(req);
   job.enqueue_seconds = NowSeconds();
   std::future<Result<QueryResult>> fut = job.promise.get_future();
-  if (stop_.load() || !started_) {
-    job.promise.set_value(Status::Unavailable("service stopped"));
-    return fut;
-  }
   {
+    // Checked under jobs_mu_: Stop sets stop_ before it drains the queue
+    // under the same lock, so a job pushed here is either run by an
+    // executor or failed with the orphans, never stranded.
     std::lock_guard<std::mutex> lock(jobs_mu_);
+    if (stop_.load() || !started_) {
+      job.promise.set_value(Status::Unavailable("service stopped"));
+      return fut;
+    }
     jobs_.push_back(std::move(job));
     g_queue_depth_.Set(static_cast<int64_t>(jobs_.size()));
   }

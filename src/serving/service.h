@@ -118,9 +118,10 @@ class AnswerCache {
 /// build-once / query-once, DitaService multiplexes concurrent
 /// Search/Join/KnnSearch traffic over a *mutating* table.
 ///
-///  - **Scheduling**: every query passes the fair-share QueryScheduler
-///    (cost-estimated from global-index stats, priority-shaped slot shares,
-///    bounded head-of-line bypass) before touching the cluster.
+///  - **Scheduling**: every query passes the fair-share QueryScheduler, the
+///    system's one admission point (cost-estimated from global-index stats,
+///    priority-shaped slot shares, bounded head-of-line bypass) before
+///    touching the cluster.
 ///  - **Streaming ingest**: Insert/Delete land in a delta buffer that
 ///    queries scan linearly (exact — the scan uses the same verification
 ///    predicate as the index path — and funnel-accounted). Once the delta
@@ -334,11 +335,6 @@ class DitaService {
 
   std::shared_ptr<Cluster> cluster_;
   DitaConfig config_;
-  /// Config the base engines are built with: identical except the engine
-  /// admission gate is disabled — the service's scheduler owns admission,
-  /// and double-gating would deadlock composed queries (join terms issue
-  /// nested base queries).
-  DitaConfig base_config_;
   std::shared_ptr<TrajectoryDistance> distance_;
   std::unique_ptr<Verifier> verifier_;
   std::unique_ptr<QueryScheduler> scheduler_;

@@ -1,19 +1,17 @@
-// Cooperative cancellation, deadlines, resource budgets, and the admission
-// gate. The load-bearing invariant everywhere: a query stopped mid-flight
-// degrades gracefully — it returns OK with a *subset* of the unconstrained
-// answer, tags QueryStats::termination / completeness, and its filter
-// funnel still balances (monotone, final level == returned count).
+// Cooperative cancellation, deadlines and resource budgets. Admission
+// (queueing, shedding) is DitaService's scheduler, tested in serving_test.cc.
+// The load-bearing invariant everywhere: a query stopped mid-flight degrades
+// gracefully — it returns OK with a *subset* of the unconstrained answer,
+// tags QueryStats::termination / completeness, and its filter funnel still
+// balances (monotone, final level == returned count).
 
 #include <algorithm>
-#include <atomic>
 #include <set>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/admission.h"
 #include "core/engine.h"
 #include "workload/generator.h"
 
@@ -286,135 +284,6 @@ TEST_F(CancellationTest, JoinUnconstrainedContextMatchesOracle) {
   EXPECT_EQ(*r, *full);
   EXPECT_TRUE(stats.termination.ok());
   EXPECT_DOUBLE_EQ(stats.completeness, 1.0);
-}
-
-// ---------------------------------------------------------------------------
-// Admission gate.
-
-TEST(AdmissionGateTest, FastPathAdmitsUpToMaxInflight) {
-  AdmissionGate gate(AdmissionGate::Options{2, 0});
-  AdmissionGate::Ticket t1, t2;
-  EXPECT_TRUE(gate.Admit(nullptr, &t1).ok());
-  EXPECT_TRUE(gate.Admit(nullptr, &t2).ok());
-  EXPECT_EQ(gate.inflight(), 2u);
-  // Third query with no queue capacity is shed immediately.
-  AdmissionGate::Ticket t3;
-  const Status s = gate.Admit(nullptr, &t3);
-  EXPECT_EQ(s.code(), Status::Code::kUnavailable);
-  EXPECT_FALSE(t3.held());
-  EXPECT_EQ(gate.shed(), 1u);
-  t1.Release();
-  EXPECT_EQ(gate.inflight(), 1u);
-  EXPECT_TRUE(gate.Admit(nullptr, &t3).ok());
-  EXPECT_EQ(gate.admitted(), 3u);
-  EXPECT_EQ(gate.inflight_high_water(), 2u);
-}
-
-TEST(AdmissionGateTest, TicketReleasesOnDestruction) {
-  AdmissionGate gate(AdmissionGate::Options{1, 0});
-  {
-    AdmissionGate::Ticket t;
-    ASSERT_TRUE(gate.Admit(nullptr, &t).ok());
-    EXPECT_EQ(gate.inflight(), 1u);
-  }
-  EXPECT_EQ(gate.inflight(), 0u);
-}
-
-TEST(AdmissionGateTest, CancelledContextAbandonsQueue) {
-  AdmissionGate gate(AdmissionGate::Options{1, 4});
-  AdmissionGate::Ticket holder;
-  ASSERT_TRUE(gate.Admit(nullptr, &holder).ok());
-  // A queued query whose context is already stopped leaves with its own
-  // status rather than waiting forever.
-  QueryContext ctx;
-  ctx.Cancel();
-  AdmissionGate::Ticket t;
-  const Status s = gate.Admit(&ctx, &t);
-  EXPECT_EQ(s.code(), Status::Code::kCancelled);
-  EXPECT_FALSE(t.held());
-  EXPECT_EQ(gate.inflight(), 1u);
-}
-
-TEST(AdmissionGateTest, QueuedQueryAdmittedFifoWhenSlotFrees) {
-  AdmissionGate gate(AdmissionGate::Options{1, 2});
-  AdmissionGate::Ticket holder;
-  ASSERT_TRUE(gate.Admit(nullptr, &holder).ok());
-
-  std::atomic<int> admitted_order{0};
-  int first_pos = 0, second_pos = 0;
-  std::thread q1([&] {
-    AdmissionGate::Ticket t;
-    EXPECT_TRUE(gate.Admit(nullptr, &t).ok());
-    first_pos = ++admitted_order;
-  });
-  // Wait until q1 is actually enqueued so FIFO order is observable.
-  while (gate.queued() < 1) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  std::thread q2([&] {
-    AdmissionGate::Ticket t;
-    EXPECT_TRUE(gate.Admit(nullptr, &t).ok());
-    second_pos = ++admitted_order;
-  });
-  while (gate.queued() < 2) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  holder.Release();
-  q1.join();
-  q2.join();
-  EXPECT_EQ(gate.admitted(), 3u);
-  EXPECT_EQ(gate.inflight(), 0u);
-  EXPECT_EQ(gate.inflight_high_water(), 1u);
-  EXPECT_LT(first_pos, second_pos);  // FIFO: q1 enqueued first, admitted first
-}
-
-/// Engine-level gate: concurrent queries never exceed max_inflight, and
-/// every query either completes, is shed (Unavailable), or abandons the
-/// queue with its own stop status.
-TEST(AdmissionGateTest, EngineGateBoundsConcurrentQueries) {
-  const Dataset ds = CityDataset(150, 99);
-  ClusterConfig ccfg;
-  ccfg.num_workers = 4;
-  ccfg.execution_threads = 2;
-  auto cluster = std::make_shared<Cluster>(ccfg);
-  DitaConfig config = SmallConfig();
-  config.serving.max_inflight_queries = 2;
-  config.serving.max_queued_queries = 2;
-  DitaEngine engine(cluster, config);
-  ASSERT_TRUE(engine.BuildIndex(ds).ok());
-
-  constexpr size_t kThreads = 6;
-  std::atomic<size_t> ok_count{0}, shed_count{0};
-  std::vector<std::thread> threads;
-  for (size_t i = 0; i < kThreads; ++i) {
-    threads.emplace_back([&, i] {
-      const auto r = engine.Search(ds[i * 7], 0.05);
-      if (r.ok()) {
-        ++ok_count;
-      } else {
-        EXPECT_EQ(r.status().code(), Status::Code::kUnavailable);
-        ++shed_count;
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  ASSERT_NE(engine.admission_gate(), nullptr);
-  EXPECT_LE(engine.admission_gate()->inflight_high_water(), 2u);
-  EXPECT_EQ(engine.admission_gate()->inflight(), 0u);
-  EXPECT_EQ(ok_count + shed_count, kThreads);
-  EXPECT_GE(ok_count, 1u);
-  EXPECT_EQ(engine.admission_gate()->admitted(), ok_count);
-  EXPECT_EQ(engine.admission_gate()->shed(), shed_count);
-}
-
-/// The gate is off by default: no gate object, queries unaffected.
-TEST(AdmissionGateTest, DisabledGateLeavesQueriesAlone) {
-  const Dataset ds = CityDataset(80, 13);
-  auto cluster = MakeCluster();
-  DitaEngine engine(cluster, SmallConfig());
-  ASSERT_TRUE(engine.BuildIndex(ds).ok());
-  EXPECT_EQ(engine.admission_gate(), nullptr);
-  EXPECT_TRUE(engine.Search(ds[0], 0.05).ok());
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Seeded chaos/soak harness: injected cluster faults + randomized mid-flight
-// cancellations + tight resource budgets + concurrent queries through the
-// admission gate. Run by ci.sh's `chaos` pass under both ASan/UBSan and TSan
-// across a fixed seed matrix, so "no leaks, no deadlocks, budgets released on
-// every exit path" is machine-checked, not asserted in prose.
+// cancellations + tight resource budgets + concurrent queries through
+// DitaService's scheduler. Run by ci.sh's `chaos` pass under both ASan/UBSan
+// and TSan across a fixed seed matrix, so "no leaks, no deadlocks, budgets
+// released on every exit path" is machine-checked, not asserted in prose.
 //
 // Determinism contract: with serial execution (execution_threads = 0) and
 // only virtual-clock stop causes (self-cancel ops triggers, resource
@@ -25,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
+#include "serving/service.h"
 #include "workload/generator.h"
 
 namespace dita {
@@ -157,10 +158,7 @@ std::string RunSerialSoak(const Dataset& ds, const Oracles& oracles,
   ccfg.execution_threads = 0;  // serial: required for determinism
   auto cluster = std::make_shared<Cluster>(ccfg);
   cluster->InjectFaults(ChaosPlan(seed));
-  DitaConfig config = SmallConfig();
-  config.serving.max_inflight_queries = 1;  // gate on, but serial never queues
-  config.serving.max_queued_queries = 1;
-  DitaEngine engine(cluster, config);
+  DitaEngine engine(cluster, SmallConfig());
   EXPECT_TRUE(engine.BuildIndex(ds).ok());
 
   std::mt19937_64 rng(seed);
@@ -231,10 +229,6 @@ std::string RunSerialSoak(const Dataset& ds, const Oracles& oracles,
     }
     transcript << "\n";
   }
-  // Every admission slot was released on exit (RAII tickets): the gate is
-  // empty after the soak.
-  EXPECT_EQ(engine.admission_gate()->inflight(), 0u) << "seed=" << seed;
-  EXPECT_EQ(engine.admission_gate()->queued(), 0u) << "seed=" << seed;
   return transcript.str();
 }
 
@@ -252,11 +246,12 @@ TEST(ChaosSoakTest, SerialSoakIsSubsetCorrectAndDeterministic) {
   }
 }
 
-/// Concurrent soak: several threads hammer one gated engine while a chaos
-/// thread cancels in-flight contexts at random times. Checks the gate's
-/// high-water invariant, that every query exits with a sane status, and
-/// that all slots are released. ASan/TSan (ci.sh chaos) add the leak,
-/// lifetime, and race checking on top.
+/// Concurrent soak: several threads hammer one DitaService with a tight
+/// scheduler (2 running, 2 queued) while a chaos thread cancels in-flight
+/// contexts at random times. Checks the scheduler's high-water invariant,
+/// that every query exits with a sane status, and that all slots are
+/// released. ASan/TSan (ci.sh chaos) add the leak, lifetime, and race
+/// checking on top.
 TEST(ChaosSoakTest, ConcurrentSoakUnderGateAndRandomCancellation) {
   const Dataset ds = CityDataset(200, 7);
   const Oracles oracles = ComputeOracles(ds);
@@ -269,8 +264,8 @@ TEST(ChaosSoakTest, ConcurrentSoakUnderGateAndRandomCancellation) {
     DitaConfig config = SmallConfig();
     config.serving.max_inflight_queries = 2;
     config.serving.max_queued_queries = 2;
-    DitaEngine engine(cluster, config);
-    ASSERT_TRUE(engine.BuildIndex(ds).ok());
+    DitaService service(cluster, config);
+    ASSERT_TRUE(service.Start(ds).ok());
 
     constexpr size_t kThreads = 4;
     constexpr int kQueriesPerThread = 6;
@@ -307,18 +302,23 @@ TEST(ChaosSoakTest, ConcurrentSoakUnderGateAndRandomCancellation) {
             std::lock_guard<std::mutex> lock(live_mu);
             live[tid] = &ctx;
           }
-          const auto r = engine.Search(ds[ProbeIndex(probe)], kTau, nullptr,
-                                       &ctx);
+          QueryRequest req;
+          req.kind = QueryKind::kSearch;
+          req.query = ds[ProbeIndex(probe)];
+          req.tau = kTau;
+          req.ctx = &ctx;
+          req.collect_stats = false;
+          const auto r = service.Execute(req);
           {
             std::lock_guard<std::mutex> lock(live_mu);
             live[tid] = nullptr;
           }
           if (r.ok()) {
             ++completed;
-            EXPECT_TRUE(IsSubsetOf(*r, oracles.search[probe]))
+            EXPECT_TRUE(IsSubsetOf(r->ids, oracles.search[probe]))
                 << "seed=" << seed << " tid=" << tid;
           } else {
-            // Shed at the gate or abandoned while queued; never an
+            // Shed by the scheduler or abandoned while queued; never an
             // internal error.
             const Status::Code c = r.status().code();
             EXPECT_TRUE(c == Status::Code::kUnavailable ||
@@ -335,12 +335,11 @@ TEST(ChaosSoakTest, ConcurrentSoakUnderGateAndRandomCancellation) {
     done.store(true, std::memory_order_release);
     chaos.join();
 
-    ASSERT_NE(engine.admission_gate(), nullptr);
-    EXPECT_LE(engine.admission_gate()->inflight_high_water(),
-              config.serving.max_inflight_queries)
+    const QueryScheduler& sched = service.scheduler();
+    EXPECT_LE(sched.active_high_water(), config.serving.max_inflight_queries)
         << "seed=" << seed;
-    EXPECT_EQ(engine.admission_gate()->inflight(), 0u) << "seed=" << seed;
-    EXPECT_EQ(engine.admission_gate()->queued(), 0u) << "seed=" << seed;
+    EXPECT_EQ(sched.active(), 0u) << "seed=" << seed;
+    EXPECT_EQ(sched.queued(), 0u) << "seed=" << seed;
     EXPECT_EQ(completed.load() + shed.load(), kThreads * kQueriesPerThread);
     EXPECT_GE(completed.load(), 1u) << "seed=" << seed;
   }

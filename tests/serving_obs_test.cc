@@ -142,7 +142,10 @@ TEST(FlightRecorderTest, ConcurrentWritersAndReadersSeeConsistentRecords) {
   });
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&rec, w] {
+    writers.emplace_back([&rec, &snapshots_taken, w] {
+      // Start once the reader is running, so reads overlap the writes
+      // instead of racing thread start-up.
+      while (snapshots_taken.load() == 0) std::this_thread::yield();
       for (uint64_t i = 0; i < kPerWriter; ++i) {
         obs::RequestRecord r;
         r.request_id = i * kWriters + static_cast<uint64_t>(w);
@@ -297,8 +300,10 @@ TEST_F(ServingObsTest, ShedRequestsAreRecordedWithCauseAndCounted) {
     const auto r = service.Execute(join);
     EXPECT_TRUE(r.ok());
   });
-  // Wait until the join actually holds its grant.
-  while (service.scheduler().active() < 1) std::this_thread::yield();
+  // Wait until the join has been granted its slot. admitted() is
+  // monotonic, so a join that already finished cannot hang this loop the
+  // way polling active() could.
+  while (service.scheduler().admitted() < 1) std::this_thread::yield();
 
   QueryRequest search;
   search.kind = QueryKind::kSearch;

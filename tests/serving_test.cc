@@ -1,5 +1,5 @@
 // The serving runtime: the unified Execute() API and its legacy aliases,
-// the fair-share QueryScheduler on the cost-aware admission gate, and
+// the fair-share QueryScheduler (the service's one admission point), and
 // DitaService's streaming ingest with epoch-snapshotted incremental
 // indexes. The load-bearing invariant throughout: for ANY interleaving of
 // inserts, deletes, queries, and epoch merges, the service answers exactly
@@ -19,7 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/admission.h"
 #include "core/engine.h"
 #include "serving/scheduler.h"
 #include "serving/service.h"
@@ -191,7 +190,8 @@ TEST_F(ExecuteAliasTest, EstimateQueryCostIsPositive) {
 }
 
 // ------------------------------------------------------------------------
-// QueryScheduler: fair-share slot math and gate delegation.
+// QueryScheduler: fair-share slot math, the count bound, shedding, and the
+// FIFO queue with bounded bypass.
 // ------------------------------------------------------------------------
 
 TEST(QuerySchedulerTest, SlotShareHalvesPerPriorityLevel) {
@@ -210,6 +210,45 @@ TEST(QuerySchedulerTest, SlotShareHalvesPerPriorityLevel) {
   EXPECT_EQ(sched.SlotsFor(0, 3), 3u);
   EXPECT_EQ(sched.SlotsFor(1, 1), 1u);
   EXPECT_EQ(sched.SlotsFor(0, 0), 1u);
+}
+
+TEST(QuerySchedulerTest, FastPathAdmitsUpToMaxInflight) {
+  QueryScheduler::Options opts;
+  opts.slots = 8;
+  opts.max_inflight = 2;
+  opts.max_queued = 0;
+  QueryScheduler sched(opts);
+  QueryScheduler::Grant g1, g2;
+  EXPECT_TRUE(sched.Acquire(0, 1, nullptr, &g1).ok());
+  EXPECT_TRUE(sched.Acquire(0, 1, nullptr, &g2).ok());
+  EXPECT_EQ(sched.active(), 2u);
+  // Third query: slots are free but the count bound is reached, and with no
+  // queue capacity it is shed immediately.
+  QueryScheduler::Grant g3;
+  const Status s = sched.Acquire(0, 1, nullptr, &g3);
+  EXPECT_EQ(s.code(), Status::Code::kUnavailable);
+  EXPECT_FALSE(g3.held());
+  EXPECT_EQ(sched.shed(), 1u);
+  g1.Release();
+  EXPECT_EQ(sched.active(), 1u);
+  EXPECT_TRUE(sched.Acquire(0, 1, nullptr, &g3).ok());
+  EXPECT_EQ(sched.admitted(), 3u);
+  EXPECT_EQ(sched.active_high_water(), 2u);
+}
+
+TEST(QuerySchedulerTest, GrantReleasesOnDestruction) {
+  QueryScheduler::Options opts;
+  opts.slots = 1;
+  opts.max_queued = 0;
+  QueryScheduler sched(opts);
+  {
+    QueryScheduler::Grant g;
+    ASSERT_TRUE(sched.Acquire(0, 1, nullptr, &g).ok());
+    EXPECT_EQ(sched.active(), 1u);
+    EXPECT_EQ(sched.slots_in_use(), 1u);
+  }
+  EXPECT_EQ(sched.active(), 0u);
+  EXPECT_EQ(sched.slots_in_use(), 0u);
 }
 
 TEST(QuerySchedulerTest, AcquireHoldsSlotsUntilReleased) {
@@ -256,53 +295,114 @@ TEST(QuerySchedulerTest, CancelledContextAbandonsQueue) {
   EXPECT_FALSE(g.held());
 }
 
-// ------------------------------------------------------------------------
-// Satellite 3: cost accounting in the admission gate. A giant join cannot
-// starve point searches (they bypass it while it waits for budget), and
-// the bypass bound keeps the giant from starving in return.
-// ------------------------------------------------------------------------
+// The scheduler is the service's admission gate: a query that stops while
+// it queues for a slot leaves the queue and takes no slot with it.
+TEST(AdmissionGateTest, CancelledContextAbandonsQueue) {
+  QueryScheduler::Options opts;
+  opts.slots = 1;
+  opts.max_queued = 4;
+  QueryScheduler sched(opts);
+  QueryScheduler::Grant holder;
+  ASSERT_TRUE(sched.Acquire(0, 1, nullptr, &holder).ok());
+  // A queued query whose context is already stopped leaves with its own
+  // status rather than waiting forever.
+  QueryContext ctx;
+  ctx.Cancel();
+  QueryScheduler::Grant g;
+  const Status s = sched.Acquire(0, 1, &ctx, &g);
+  EXPECT_EQ(s.code(), Status::Code::kCancelled);
+  EXPECT_FALSE(g.held());
+  EXPECT_EQ(sched.active(), 1u);
+  // A wall deadline that fires while the query waits ends the wait too:
+  // the queue polls the context even though no slot ever frees.
+  QueryContext deadline;
+  deadline.SetWallDeadlineSeconds(0.02);
+  const Status d = sched.Acquire(0, 1, &deadline, &g);
+  EXPECT_EQ(d.code(), Status::Code::kDeadlineExceeded);
+  EXPECT_FALSE(g.held());
+  EXPECT_EQ(sched.active(), 1u);
+  EXPECT_EQ(sched.queued(), 0u);
+  EXPECT_EQ(sched.shed(), 0u);
+}
 
-TEST(AdmissionGateCostTest, SmallQueriesBypassGiantUntilBypassBound) {
-  AdmissionGate::Options opts;
-  opts.max_inflight = 8;
+TEST(QuerySchedulerTest, QueuedQueryAdmittedFifoWhenSlotFrees) {
+  QueryScheduler::Options opts;
+  opts.slots = 1;
+  opts.max_queued = 2;
+  QueryScheduler sched(opts);
+  QueryScheduler::Grant holder;
+  ASSERT_TRUE(sched.Acquire(0, 1, nullptr, &holder).ok());
+
+  std::atomic<int> admitted_order{0};
+  int first_pos = 0, second_pos = 0;
+  std::thread q1([&] {
+    QueryScheduler::Grant g;
+    EXPECT_TRUE(sched.Acquire(0, 1, nullptr, &g).ok());
+    first_pos = ++admitted_order;
+  });
+  // Wait until q1 is actually enqueued so FIFO order is observable.
+  while (sched.queued() < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::thread q2([&] {
+    QueryScheduler::Grant g;
+    EXPECT_TRUE(sched.Acquire(0, 1, nullptr, &g).ok());
+    second_pos = ++admitted_order;
+  });
+  while (sched.queued() < 2) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  holder.Release();
+  q1.join();
+  q2.join();
+  EXPECT_EQ(sched.admitted(), 3u);
+  EXPECT_EQ(sched.active(), 0u);
+  EXPECT_EQ(sched.active_high_water(), 1u);
+  EXPECT_LT(first_pos, second_pos);  // FIFO: q1 enqueued first, admitted first
+}
+
+// A giant join cannot starve point searches (they bypass it while it waits
+// for slots), and the bypass bound keeps the giant from starving in return.
+TEST(QuerySchedulerTest, SmallQueriesBypassGiantUntilBypassBound) {
+  QueryScheduler::Options opts;
+  opts.slots = 8;
   opts.max_queued = 8;
-  opts.max_inflight_cost = 8;
   opts.max_bypass = 3;
-  AdmissionGate gate(opts);
+  QueryScheduler sched(opts);
 
-  // A medium query holds 6 of the 8 cost units.
-  AdmissionGate::Ticket medium;
-  ASSERT_TRUE(gate.Admit(nullptr, 6, &medium).ok());
+  // A medium query holds 6 of the 8 slots.
+  QueryScheduler::Grant medium;
+  ASSERT_TRUE(sched.Acquire(0, 6, nullptr, &medium).ok());
 
-  // The giant join (cost 8) cannot fit and queues.
+  // The giant join (8 slots) cannot fit and queues.
   std::atomic<bool> giant_admitted{false};
   std::thread giant([&] {
-    AdmissionGate::Ticket t;
-    EXPECT_TRUE(gate.Admit(nullptr, 8, &t).ok());
+    QueryScheduler::Grant g;
+    EXPECT_TRUE(sched.Acquire(0, 8, nullptr, &g).ok());
     giant_admitted = true;
   });
-  while (gate.queued() < 1) {
+  while (sched.queued() < 1) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
-  // Point searches (cost 1) fit the remaining budget and flow past the
-  // queued giant — exactly max_bypass times.
+  // Point searches (1 slot) fit the free slots and flow past the queued
+  // giant — exactly max_bypass times.
   for (int i = 0; i < 3; ++i) {
-    AdmissionGate::Ticket t;
-    ASSERT_TRUE(gate.Admit(nullptr, 1, &t).ok()) << "bypass " << i;
+    QueryScheduler::Grant g;
+    ASSERT_TRUE(sched.Acquire(0, 1, nullptr, &g).ok()) << "bypass " << i;
     EXPECT_FALSE(giant_admitted.load());
   }
-  EXPECT_EQ(gate.bypasses(), 3u);
+  EXPECT_EQ(sched.bypasses(), 3u);
 
   // The bypass allowance is spent: the next point search must wait its
-  // turn behind the giant even though its cost would fit.
+  // turn behind the giant even though its slot would fit.
   std::atomic<bool> small_admitted{false};
   std::thread small([&] {
-    AdmissionGate::Ticket t;
-    EXPECT_TRUE(gate.Admit(nullptr, 1, &t).ok());
+    QueryScheduler::Grant g;
+    EXPECT_TRUE(sched.Acquire(0, 1, nullptr, &g).ok());
     small_admitted = true;
   });
-  while (gate.queued() < 2) {
+  while (sched.queued() < 2) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -315,32 +415,51 @@ TEST(AdmissionGateCostTest, SmallQueriesBypassGiantUntilBypassBound) {
   EXPECT_TRUE(giant_admitted.load());
   small.join();
   EXPECT_TRUE(small_admitted.load());
-  EXPECT_EQ(gate.inflight(), 0u);
-  // The cost budget held throughout: never more than 8 units in flight.
-  EXPECT_LE(gate.cost_high_water(), 8u);
+  EXPECT_EQ(sched.active(), 0u);
+  // The pool held throughout: never more than 8 slots in use.
+  EXPECT_LE(sched.slots_high_water(), 8u);
 }
 
-TEST(AdmissionGateCostTest, OversizedQueryRunsAloneInsteadOfHanging) {
-  AdmissionGate::Options opts;
+/// A cost above the pool is clamped to `slots`, so the query takes the
+/// whole pool and runs alone: later queries queue behind it instead of the
+/// oversized query hanging for slots that can never free up.
+TEST(QuerySchedulerTest, OversizedCostIsClampedAndRunsAlone) {
+  QueryScheduler::Options opts;
+  opts.slots = 8;
   opts.max_inflight = 4;
   opts.max_queued = 4;
-  opts.max_inflight_cost = 8;
-  AdmissionGate gate(opts);
-  // Cost 100 > budget 8, but nothing is in flight: admitted, serially.
-  AdmissionGate::Ticket t;
-  ASSERT_TRUE(gate.Admit(nullptr, 100, &t).ok());
-  EXPECT_EQ(gate.inflight(), 1u);
-  t.Release();
-  EXPECT_EQ(gate.inflight_cost(), 0u);
+  QueryScheduler sched(opts);
+  QueryScheduler::Grant big;
+  ASSERT_TRUE(sched.Acquire(0, 100, nullptr, &big).ok());
+  EXPECT_EQ(big.slots(), 8u);
+  EXPECT_EQ(sched.active(), 1u);
+  EXPECT_EQ(sched.slots_in_use(), 8u);
+
+  std::atomic<bool> small_admitted{false};
+  std::thread small([&] {
+    QueryScheduler::Grant g;
+    EXPECT_TRUE(sched.Acquire(0, 1, nullptr, &g).ok());
+    small_admitted = true;
+  });
+  while (sched.queued() < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_FALSE(small_admitted.load());
+  big.Release();
+  small.join();
+  EXPECT_TRUE(small_admitted.load());
+  EXPECT_EQ(sched.slots_in_use(), 0u);
+  EXPECT_EQ(sched.slots_high_water(), 8u);
+  EXPECT_EQ(sched.active_high_water(), 1u);
 }
 
-/// Mixed workload through a live service: one bulk self-join riding with a
+/// Mixed workload through a live service: bulk self-joins riding with a
 /// stream of point searches. The regression this pins down: before cost
 /// accounting, the join's admission was indistinguishable from a search's,
 /// so a burst of joins could occupy every slot and point searches timed
 /// out behind them; now the scheduler charges the join its estimated cost
-/// and the searches keep flowing (bypasses observable on the gate).
-TEST(AdmissionGateCostTest, ServiceMixedWorkloadKeepsPointSearchesFlowing) {
+/// and the searches keep flowing past it.
+TEST(QuerySchedulerTest, ServiceMixedWorkloadKeepsPointSearchesFlowing) {
   const Dataset ds = CityDataset(150, 31);
   auto cluster = MakeCluster(4);
   DitaConfig config = SmallConfig();
@@ -351,14 +470,6 @@ TEST(AdmissionGateCostTest, ServiceMixedWorkloadKeepsPointSearchesFlowing) {
 
   std::atomic<size_t> searches_done{0};
   std::atomic<bool> stop_searches{false};
-  std::thread join_thread([&] {
-    QueryRequest req;
-    req.kind = QueryKind::kJoin;
-    req.tau = 0.02;
-    req.priority = 2;  // bulk analytics: smaller share
-    const auto r = service.Execute(req);
-    EXPECT_TRUE(r.ok());
-  });
   std::vector<std::thread> searchers;
   for (int i = 0; i < 3; ++i) {
     searchers.emplace_back([&, i] {
@@ -374,16 +485,31 @@ TEST(AdmissionGateCostTest, ServiceMixedWorkloadKeepsPointSearchesFlowing) {
       }
     });
   }
-  join_thread.join();
+  // Joins start once the searchers are running, and run back to back until
+  // three searches have completed while a join was in flight. Counting only
+  // those (not thread start-up) is what shows searches flowing past the join;
+  // the bound turns starved searches into a failure instead of a hang.
+  while (searches_done.load() < 3) std::this_thread::yield();
+  QueryRequest join;
+  join.kind = QueryKind::kJoin;
+  join.tau = 0.02;
+  join.priority = 2;  // bulk analytics: smaller share
+  size_t during_joins = 0;
+  for (int j = 0; j < 500 && during_joins < 3; ++j) {
+    const size_t before = searches_done.load();
+    EXPECT_TRUE(service.Execute(join).ok());
+    during_joins += searches_done.load() - before;
+  }
   stop_searches = true;
   for (auto& t : searchers) t.join();
 
-  EXPECT_GE(searches_done.load(), 3u);
+  EXPECT_GE(during_joins, 3u);
   EXPECT_LE(service.scheduler().slots_in_use(), 0u);
   // The join was charged real cost: the pool's high water reflects shared
-  // occupancy, and it never exceeded the slot budget (one oversized query
-  // running alone is the only sanctioned excursion).
+  // occupancy.
   EXPECT_GE(service.scheduler().slots_high_water(), 2u);
+  EXPECT_LE(service.scheduler().slots_high_water(),
+            service.scheduler().total_slots());
   EXPECT_EQ(service.scheduler().active(), 0u);
 }
 
@@ -640,6 +766,52 @@ TEST_F(DitaServiceTest, SubmitMatchesExecuteAndFailsAfterStop) {
   auto dead = service.Submit(req).get();
   EXPECT_EQ(dead.status().code(), Status::Code::kUnavailable);
   service.Stop();  // idempotent
+}
+
+/// Submit racing Stop: a job enqueued while Stop drains the executors must
+/// still be run or failed, never left in the queue with a future that only
+/// resolves (as broken_promise) when the service is destroyed.
+TEST_F(DitaServiceTest, SubmitRacingStopNeverStrandsAFuture) {
+  QueryRequest req;
+  req.kind = QueryKind::kSearch;
+  req.query = ds_[2];
+  req.tau = 0.01;
+  req.collect_stats = false;
+  for (int round = 0; round < 8; ++round) {
+    DitaService service(cluster_, config_);
+    ASSERT_TRUE(service.Start(ds_).ok());
+    constexpr size_t kSubmitters = 4;
+    std::atomic<bool> done{false};
+    std::atomic<size_t> submitted{0};
+    std::vector<std::vector<std::future<Result<QueryResult>>>> futures(
+        kSubmitters);
+    std::vector<std::thread> submitters;
+    for (size_t t = 0; t < kSubmitters; ++t) {
+      submitters.emplace_back([&, t] {
+        while (!done.load() && futures[t].size() < 2000) {
+          futures[t].push_back(service.Submit(req));
+          submitted.fetch_add(1);
+        }
+      });
+    }
+    while (submitted.load() < 40) std::this_thread::yield();
+    service.Stop();
+    done.store(true);
+    for (auto& t : submitters) t.join();
+    // Checked while the service is still alive: a stranded job's future is
+    // not ready here.
+    for (auto& per_thread : futures) {
+      for (auto& f : per_thread) {
+        ASSERT_EQ(f.wait_for(std::chrono::seconds(0)),
+                  std::future_status::ready)
+            << "round " << round;
+        const auto r = f.get();
+        EXPECT_TRUE(r.ok() ||
+                    r.status().code() == Status::Code::kUnavailable)
+            << r.status().ToString();
+      }
+    }
+  }
 }
 
 TEST_F(DitaServiceTest, SchedulerAccountsEveryQuery) {
