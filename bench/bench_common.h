@@ -111,6 +111,20 @@ inline Args ParseArgs(int argc, char** argv) {
   return args;
 }
 
+/// ParseArgs for the benches built on google-benchmark: its --benchmark_*
+/// flags are set aside in `gbench`, after argv[0], for
+/// benchmark::Initialize; every other flag is the common CLI.
+inline Args ParseArgsWithBenchmarkFlags(int argc, char** argv,
+                                        std::vector<char*>* gbench) {
+  std::vector<char*> ours = {argv[0]};
+  *gbench = {argv[0]};
+  for (int i = 1; i < argc; ++i) {
+    (std::strncmp(argv[i], "--benchmark_", 12) == 0 ? *gbench : ours)
+        .push_back(argv[i]);
+  }
+  return ParseArgs(static_cast<int>(ours.size()), ours.data());
+}
+
 inline std::shared_ptr<Cluster> MakeCluster(size_t workers) {
   ClusterConfig cfg;
   cfg.num_workers = workers;
@@ -134,12 +148,6 @@ inline DitaConfig DefaultConfig() {
   config.build.trie.pivot_fanout = 4;
   config.build.trie.leaf_capacity = 4;
   config.verify.cell_size = 0.005;
-  // bench_ablation_verification shows the quadratic cell bound never pays
-  // at these dataset sizes: the double-direction DP rejects negatives in
-  // O(rows-to-divergence) already. The engine default keeps the paper's
-  // full pipeline; the harness measures the configuration that is actually
-  // fastest here.
-  config.verify.enable_cell = false;
   return config;
 }
 

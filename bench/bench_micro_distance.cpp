@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -345,15 +344,9 @@ void WriteMicroJson(const char* path) {
 }  // namespace dita
 
 int main(int argc, char** argv) {
-  // google-benchmark's flags go to it; everything else is the common CLI.
-  std::vector<char*> ours = {argv[0]};
-  std::vector<char*> gbench = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    (std::strncmp(argv[i], "--benchmark_", 12) == 0 ? gbench : ours)
-        .push_back(argv[i]);
-  }
+  std::vector<char*> gbench;
   const dita::bench::Args args =
-      dita::bench::ParseArgs(static_cast<int>(ours.size()), ours.data());
+      dita::bench::ParseArgsWithBenchmarkFlags(argc, argv, &gbench);
   if (args.quick) dita::g_measure_seconds = 0.01;
   dita::WriteMicroJson(
       args.out.empty() ? "BENCH_micro_distance.json" : args.out.c_str());

@@ -7,14 +7,17 @@
 // BENCH_micro_filter.json (trie CollectCandidates ns/query per prune mode and
 // threshold, R-tree probe ns/query, trie/partition build wall time and
 // trajectories/sec) so filter performance is tracked across PRs next to
-// BENCH_micro_distance.json. Pass --skip_json to go straight to
-// google-benchmark.
+// BENCH_micro_distance.json, then runs the google-benchmark suite.
+//
+// Flags: the common bench CLI (bench::ParseArgs). --out=PATH moves the JSON
+// (default BENCH_micro_filter.json in the working directory); --quick
+// shortens every timing window to 10 ms and skips the google-benchmark
+// suite. google-benchmark's own --benchmark_* flags pass through.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <thread>
@@ -382,28 +385,16 @@ void WriteFilterJson(const char* path) {
 }  // namespace dita
 
 int main(int argc, char** argv) {
-  bool skip_json = false;
-  bool quick = false;
-  const char* out = "BENCH_micro_filter.json";
-  // Strip this binary's flags before handing argv to google-benchmark.
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--skip_json") == 0) {
-      skip_json = true;
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out = argv[i] + 6;
-    } else {
-      argv[kept++] = argv[i];
-    }
-  }
-  argc = kept;
-  if (quick) dita::g_measure_seconds = 0.01;
-  if (!skip_json) dita::WriteFilterJson(out);
-  if (quick) return 0;  // smoke mode: JSON only, skip google-benchmark
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  std::vector<char*> gbench;
+  const dita::bench::Args args =
+      dita::bench::ParseArgsWithBenchmarkFlags(argc, argv, &gbench);
+  if (args.quick) dita::g_measure_seconds = 0.01;
+  dita::WriteFilterJson(
+      args.out.empty() ? "BENCH_micro_filter.json" : args.out.c_str());
+  if (args.quick) return 0;  // smoke mode: JSON only
+  int gargc = static_cast<int>(gbench.size());
+  benchmark::Initialize(&gargc, gbench.data());
+  if (benchmark::ReportUnrecognizedArguments(gargc, gbench.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

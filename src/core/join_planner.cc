@@ -159,7 +159,8 @@ void JoinPlanner::OrientGreedily() {
   for (Edge& e : edges_) {
     e.left_to_right = (e.trans_lr + e.comp_lr) <= (e.trans_rl + e.comp_rl);
   }
-  if (!left_.config_.enable_graph_orientation) return;
+  // An empty bi-graph (a join over an empty table) has no hottest node.
+  if (!left_.config_.enable_graph_orientation || edges_.empty()) return;
 
   // Iterative improvement: flip the edge of the maximum-cost node that
   // lowers the global maximum the most; stop at a fixpoint.
@@ -214,7 +215,9 @@ void JoinPlanner::PlanDivisions() {
     node_workers_[NodeIndex(false, p)] = {right_.partitions_[p].home_worker};
   }
   divided_partitions_ = 0;
-  if (!left_.config_.enable_division_balancing) return;
+  // Without edges every node costs 0 and there is nothing to divide; with
+  // no nodes at all the quantile below would index an empty vector.
+  if (!left_.config_.enable_division_balancing || edges_.empty()) return;
 
   std::vector<double> tc = NodeCosts();
   std::vector<double> sorted = tc;

@@ -1,7 +1,10 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <random>
 #include <set>
+#include <string>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -127,20 +130,36 @@ TEST(DitaEngineTest, ParallelBuildMatchesSerialBuild) {
   }
 }
 
-/// End-to-end correctness: engine search equals brute force for every
-/// distance function.
-class EngineSearchProperty : public ::testing::TestWithParam<DistanceType> {};
+/// `ds` plus a jittered copy of every trajectory (id + 100000): each point
+/// moves by up to `amp` per axis, `amp` cycling through 0.0005, 0.002 and
+/// 0.006. The copies' DTW and Frechet distances to their originals spread
+/// across the tested taus, so a filter sees true answers just inside tau as
+/// well as near misses.
+Dataset WithJitteredCopies(const Dataset& ds, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  const double amps[] = {0.0005, 0.002, 0.006};
+  std::vector<Trajectory> rows = ds.trajectories();
+  for (size_t i = 0; i < ds.size(); ++i) {
+    std::vector<Point> points = ds[i].points();
+    for (Point& p : points) {
+      p.x += amps[i % 3] * unit(rng);
+      p.y += amps[i % 3] * unit(rng);
+    }
+    rows.emplace_back(ds[i].id() + 100000, std::move(points));
+  }
+  return Dataset(std::move(rows));
+}
 
-TEST_P(EngineSearchProperty, MatchesBruteForce) {
+void ExpectSearchMatchesBruteForce(const DitaConfig& config,
+                                   const Dataset& ds) {
   auto cluster = MakeCluster();
-  DitaConfig config = SmallConfig(GetParam());
   DitaEngine engine(cluster, config);
-  Dataset ds = CityDataset(300);
   ASSERT_TRUE(engine.BuildIndex(ds).ok());
 
-  auto dist = *MakeDistance(GetParam(), config.distance_params);
-  const bool edit = GetParam() == DistanceType::kEDR ||
-                    GetParam() == DistanceType::kLCSS;
+  auto dist = *MakeDistance(config.distance, config.distance_params);
+  const bool edit = config.distance == DistanceType::kEDR ||
+                    config.distance == DistanceType::kLCSS;
   const std::vector<double> taus = edit
                                        ? std::vector<double>{1.0, 3.0, 6.0}
                                        : std::vector<double>{0.005, 0.03, 0.1};
@@ -160,6 +179,14 @@ TEST_P(EngineSearchProperty, MatchesBruteForce) {
       EXPECT_GE(qstats.candidates, expected.size());
     }
   }
+}
+
+/// End-to-end correctness: engine search equals brute force for every
+/// distance function.
+class EngineSearchProperty : public ::testing::TestWithParam<DistanceType> {};
+
+TEST_P(EngineSearchProperty, MatchesBruteForce) {
+  ExpectSearchMatchesBruteForce(SmallConfig(GetParam()), CityDataset(300));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDistances, EngineSearchProperty,
@@ -212,6 +239,75 @@ INSTANTIATE_TEST_SUITE_P(AllDistances, EngineJoinProperty,
                          [](const auto& info) {
                            return DistanceTypeName(info.param);
                          });
+
+/// The cell bound (Lemma 5.6) is off by default, so the oracle runs with it
+/// explicitly off and on for the two distances it applies to, over a table
+/// with near-duplicates so that some answers lie just inside tau.
+class EngineCellBoundProperty
+    : public ::testing::TestWithParam<std::tuple<DistanceType, bool>> {
+ protected:
+  DitaConfig Config() const {
+    DitaConfig config = SmallConfig(std::get<0>(GetParam()));
+    config.verify.enable_cell = std::get<1>(GetParam());
+    return config;
+  }
+};
+
+TEST_P(EngineCellBoundProperty, SearchMatchesBruteForce) {
+  ExpectSearchMatchesBruteForce(Config(),
+                                WithJitteredCopies(CityDataset(150, 57), 7));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CellOffOn, EngineCellBoundProperty,
+    ::testing::Combine(::testing::Values(DistanceType::kDTW,
+                                         DistanceType::kFrechet),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return std::string(DistanceTypeName(std::get<0>(info.param))) +
+             (std::get<1>(info.param) ? "_CellOn" : "_CellOff");
+    });
+
+TEST(DitaEngineTest, CellBoundOffByDefaultAndAnswersUnchanged) {
+  EXPECT_FALSE(DitaConfig{}.verify.enable_cell);
+  EXPECT_TRUE(DitaConfig{}.verify.enable_mbr);
+
+  Dataset ds = WithJitteredCopies(CityDataset(100, 83), 9);
+  auto cluster = MakeCluster();
+  DitaConfig with_cell = SmallConfig();
+  with_cell.verify.enable_cell = true;
+  DitaEngine off(cluster, SmallConfig());
+  DitaEngine on(cluster, with_cell);
+  ASSERT_TRUE(off.BuildIndex(ds).ok());
+  ASSERT_TRUE(on.BuildIndex(ds).ok());
+
+  size_t cell_pruned = 0;
+  for (const auto& q : ds.SampleQueries(6, 29)) {
+    DitaEngine::QueryStats off_stats;
+    DitaEngine::QueryStats on_stats;
+    auto a = off.Search(q, 0.04, &off_stats);
+    auto b = on.Search(q, 0.04, &on_stats);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ(*a, *b);
+    EXPECT_EQ(off_stats.verify.pruned_by_cell, 0u);
+    cell_pruned += on_stats.verify.pruned_by_cell;
+
+    auto ka = off.KnnSearch(q, 7);
+    auto kb = on.KnnSearch(q, 7);
+    ASSERT_TRUE(ka.ok() && kb.ok());
+    EXPECT_EQ(*ka, *kb);
+  }
+  DitaEngine::JoinStats off_join;
+  DitaEngine::JoinStats on_join;
+  auto ja = off.Join(off, 0.04, &off_join);
+  auto jb = on.Join(on, 0.04, &on_join);
+  ASSERT_TRUE(ja.ok() && jb.ok());
+  EXPECT_EQ(*ja, *jb);
+  EXPECT_EQ(off_join.verify.pruned_by_cell, 0u);
+  // Turned on, the bound really runs: it prunes pairs the default leaves to
+  // the DP, so the equalities above compare two different pipelines.
+  EXPECT_GT(cell_pruned + on_join.verify.pruned_by_cell, 0u);
+}
 
 /// kNN extension: exact against brute force for every distance function.
 class EngineKnnProperty : public ::testing::TestWithParam<DistanceType> {};
@@ -383,6 +479,41 @@ TEST(DitaEngineTest, TwoTableJoinMatchesBruteForce) {
   }
   std::sort(expected.begin(), expected.end());
   EXPECT_EQ(*got, expected);
+}
+
+TEST(DitaEngineTest, EmptySelfJoinIsEmpty) {
+  // The join's bi-graph has no nodes: planning must not pick a hottest node
+  // or a cost quantile out of an empty vector.
+  DitaEngine engine(MakeCluster(), SmallConfig());
+  ASSERT_TRUE(engine.BuildIndex(Dataset()).ok());
+  QueryRequest req;
+  req.kind = QueryKind::kJoin;
+  req.tau = 0.05;
+  auto got = engine.Execute(req);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(got->pairs.empty());
+  EXPECT_EQ(got->join_stats.graph_edges, 0u);
+  EXPECT_EQ(got->join_stats.result_pairs, 0u);
+}
+
+TEST(DitaEngineTest, EmptyJoinNonEmptyIsEmpty) {
+  // Nodes on one side only: the bi-graph has no edges, in either direction.
+  auto cluster = MakeCluster();
+  DitaEngine empty(cluster, SmallConfig());
+  DitaEngine full(cluster, SmallConfig());
+  ASSERT_TRUE(empty.BuildIndex(Dataset()).ok());
+  ASSERT_TRUE(full.BuildIndex(CityDataset(60, 3)).ok());
+  for (const auto& [left, right] :
+       {std::pair{&empty, &full}, std::pair{&full, &empty}}) {
+    QueryRequest req;
+    req.kind = QueryKind::kJoin;
+    req.join_right = right;
+    req.tau = 0.05;
+    auto got = left->Execute(req);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(got->pairs.empty());
+    EXPECT_EQ(got->join_stats.graph_edges, 0u);
+  }
 }
 
 TEST(DitaEngineTest, JoinRequiresSharedCluster) {

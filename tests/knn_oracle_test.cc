@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -110,11 +112,8 @@ TEST(KnnOracleTopK, KeepsTheKBestByDistanceThenId) {
   EXPECT_EQ(top.Bound(), 2.0);
 }
 
-class KnnOracle : public ::testing::TestWithParam<DistanceType> {};
-
-TEST_P(KnnOracle, EngineMatchesNaiveTopK) {
-  const DitaConfig config = SmallConfig(GetParam());
-  const auto dist = *MakeDistance(GetParam(), config.distance_params);
+void ExpectEngineMatchesNaiveTopK(const DitaConfig& config) {
+  const auto dist = *MakeDistance(config.distance, config.distance_params);
   const Dataset table = TableWithTies(120, 61);
   DitaEngine engine(MakeCluster(), config);
   ASSERT_TRUE(engine.BuildIndex(table).ok());
@@ -142,11 +141,10 @@ TEST_P(KnnOracle, EngineMatchesNaiveTopK) {
   }
 }
 
-TEST_P(KnnOracle, ServiceWithDeltaMatchesNaiveTopK) {
-  DitaConfig config = SmallConfig(GetParam());
+void ExpectServiceWithDeltaMatchesNaiveTopK(DitaConfig config) {
   config.serving.synchronous_merge = true;
   config.serving.merge_threshold = 1000;  // merges only when forced
-  const auto dist = *MakeDistance(GetParam(), config.distance_params);
+  const auto dist = *MakeDistance(config.distance, config.distance_params);
   const Dataset table = TableWithTies(100, 62);
   DitaService service(MakeCluster(), config);
   ASSERT_TRUE(service.Start(table).ok());
@@ -200,6 +198,16 @@ TEST_P(KnnOracle, ServiceWithDeltaMatchesNaiveTopK) {
   check("after merge");
 }
 
+class KnnOracle : public ::testing::TestWithParam<DistanceType> {};
+
+TEST_P(KnnOracle, EngineMatchesNaiveTopK) {
+  ExpectEngineMatchesNaiveTopK(SmallConfig(GetParam()));
+}
+
+TEST_P(KnnOracle, ServiceWithDeltaMatchesNaiveTopK) {
+  ExpectServiceWithDeltaMatchesNaiveTopK(SmallConfig(GetParam()));
+}
+
 INSTANTIATE_TEST_SUITE_P(AllDistances, KnnOracle,
                          ::testing::Values(DistanceType::kDTW,
                                            DistanceType::kFrechet,
@@ -209,6 +217,36 @@ INSTANTIATE_TEST_SUITE_P(AllDistances, KnnOracle,
                          [](const auto& info) {
                            return DistanceTypeName(info.param);
                          });
+
+/// The cell bound (Lemma 5.6) is off by default; both oracles run with it
+/// explicitly off and on for the two distances it applies to.
+class KnnOracleCellBound
+    : public ::testing::TestWithParam<std::tuple<DistanceType, bool>> {
+ protected:
+  DitaConfig Config() const {
+    DitaConfig config = SmallConfig(std::get<0>(GetParam()));
+    config.verify.enable_cell = std::get<1>(GetParam());
+    return config;
+  }
+};
+
+TEST_P(KnnOracleCellBound, EngineMatchesNaiveTopK) {
+  ExpectEngineMatchesNaiveTopK(Config());
+}
+
+TEST_P(KnnOracleCellBound, ServiceWithDeltaMatchesNaiveTopK) {
+  ExpectServiceWithDeltaMatchesNaiveTopK(Config());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CellOffOn, KnnOracleCellBound,
+    ::testing::Combine(::testing::Values(DistanceType::kDTW,
+                                         DistanceType::kFrechet),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return std::string(DistanceTypeName(std::get<0>(info.param))) +
+             (std::get<1>(info.param) ? "_CellOn" : "_CellOff");
+    });
 
 /// Four execution threads run a stage's partition tasks concurrently, so the
 /// shared k-th bound is read and tightened from several threads at once.

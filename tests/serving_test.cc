@@ -13,7 +13,9 @@
 #include <future>
 #include <map>
 #include <random>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -837,14 +839,43 @@ TEST_F(DitaServiceTest, SchedulerAccountsEveryQuery) {
 // equivalent live set.
 // ------------------------------------------------------------------------
 
-TEST(ServingOracleTest, SeededInterleavingMatchesBatchEngine) {
+/// Jittered copies of the first `n` trajectories of `ds`: each point moves
+/// by up to 0.0005, 0.002 or 0.006 per axis, cycling, so their distances to
+/// the originals spread across the searched tau.
+Dataset JitteredCopies(const Dataset& ds, size_t n, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  const double amps[] = {0.0005, 0.002, 0.006};
+  std::vector<Trajectory> rows;
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<Point> points = ds[i].points();
+    for (Point& p : points) {
+      p.x += amps[i % 3] * unit(rng);
+      p.y += amps[i % 3] * unit(rng);
+    }
+    rows.emplace_back(ds[i].id(), std::move(points));
+  }
+  return Dataset(std::move(rows));
+}
+
+/// Runs the interleaving on a service built from `service_config`. The batch
+/// oracle shares its distance but never runs the cell bound, so a service
+/// with the bound on is checked against a pipeline without it. With
+/// `near_duplicate_inserts` the inserted rows are jittered copies of the
+/// base, so the delta scan meets answers just inside tau.
+void ExpectSeededInterleavingMatchesBatchEngine(
+    const DitaConfig& service_config, bool near_duplicate_inserts = false) {
+  DitaConfig oracle_config = service_config;
+  oracle_config.verify.enable_cell = false;
   for (const uint64_t seed : {11u, 23u}) {
     SCOPED_TRACE(testing::Message() << "seed " << seed);
     const Dataset base = CityDataset(120, seed);
-    const Dataset pool = CityDataset(80, seed + 1);
+    const Dataset pool = near_duplicate_inserts
+                             ? JitteredCopies(base, 80, seed + 1)
+                             : CityDataset(80, seed + 1);
     auto cluster = MakeCluster();
 
-    DitaConfig config = SmallConfig();
+    DitaConfig config = service_config;
     config.serving.synchronous_merge = true;
     config.serving.merge_threshold = 16;  // merges fire mid-interleaving
     DitaService service(cluster, config);
@@ -880,7 +911,7 @@ TEST(ServingOracleTest, SeededInterleavingMatchesBatchEngine) {
       } else if (op % 8 == 7) {
         // Query checkpoint: rebuild a batch engine on the shadow live set
         // and require bit-identical answers from the service.
-        DitaEngine batch(cluster, SmallConfig());
+        DitaEngine batch(cluster, oracle_config);
         ASSERT_TRUE(batch.BuildIndex(Dataset(live_vector())).ok());
         const Trajectory& q = base[(size_t(op) * 13) % base.size()];
 
@@ -924,7 +955,7 @@ TEST(ServingOracleTest, SeededInterleavingMatchesBatchEngine) {
 
     // Final checkpoint after a forced merge: the folded state still agrees.
     ASSERT_TRUE(service.ForceMerge().ok());
-    DitaEngine batch(cluster, SmallConfig());
+    DitaEngine batch(cluster, oracle_config);
     ASSERT_TRUE(batch.BuildIndex(Dataset(live_vector())).ok());
     QueryRequest search;
     search.kind = QueryKind::kSearch;
@@ -937,6 +968,34 @@ TEST(ServingOracleTest, SeededInterleavingMatchesBatchEngine) {
     EXPECT_EQ(served->ids, *oracle);
   }
 }
+
+TEST(ServingOracleTest, SeededInterleavingMatchesBatchEngine) {
+  ExpectSeededInterleavingMatchesBatchEngine(SmallConfig());
+}
+
+/// The cell bound (Lemma 5.6) is off by default; the interleaving runs with
+/// it explicitly off and on for the two distances it applies to, inserting
+/// near-duplicates of the queried base rows.
+class ServingOracleCellBound
+    : public ::testing::TestWithParam<std::tuple<DistanceType, bool>> {};
+
+TEST_P(ServingOracleCellBound, SeededInterleavingMatchesBatchEngine) {
+  DitaConfig config = SmallConfig();
+  config.distance = std::get<0>(GetParam());
+  config.verify.enable_cell = std::get<1>(GetParam());
+  ExpectSeededInterleavingMatchesBatchEngine(config,
+                                             /*near_duplicate_inserts=*/true);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CellOffOn, ServingOracleCellBound,
+    ::testing::Combine(::testing::Values(DistanceType::kDTW,
+                                         DistanceType::kFrechet),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return std::string(DistanceTypeName(std::get<0>(info.param))) +
+             (std::get<1>(info.param) ? "_CellOn" : "_CellOff");
+    });
 
 /// Service-level joins between two live tables: both sides' deltas are
 /// folded in exactly.
