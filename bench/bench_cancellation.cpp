@@ -11,14 +11,15 @@
 //
 //  * token-check overhead: throughput of the two hottest instrumented loops
 //    (trie CollectCandidates, DtwWithin) with a never-stopping context
-//    attached versus no context, interleaved and min-of-15 so frequency
-//    drift does not masquerade as overhead. The strides above were chosen
-//    to keep this under 2%.
+//    attached versus no context. The two sides run in 15 interleaved pairs
+//    of 100 ms windows; the overhead is the median of the per-pair ratios,
+//    so host drift that spans a pair cancels out, and the reported rates
+//    are each side's median window.
 //
 // Emits BENCH_cancellation.json next to the other BENCH_*.json files.
 // Flags: the common bench CLI (bench::ParseArgs). --out=PATH moves the JSON;
-// --quick runs 16 cancel trials instead of 128 and 3 interleaved 10 ms
-// windows per side instead of 15 of 100 ms (smoke mode; noisy numbers).
+// --quick runs 16 cancel trials instead of 128 and 5 pairs of 10 ms
+// windows instead of 15 of 100 ms (smoke mode; noisy numbers).
 
 #include <algorithm>
 #include <cstdio>
@@ -32,7 +33,6 @@
 #include "distance/kernels.h"
 #include "index/trie_index.h"
 #include "util/query_context.h"
-#include "util/timer.h"
 #include "workload/generator.h"
 
 namespace dita {
@@ -59,37 +59,38 @@ TrieIndex::Options BenchTrieOptions() {
 
 /// Measurement effort; --quick shrinks all three.
 double g_window_seconds = 0.1;
-int g_min_reps = 15;
+int g_pairs = 15;
 int g_cancel_trials = 128;
 
-/// Times `fn` until ~g_window_seconds of wall clock has elapsed; ns per
-/// call.
-template <typename Fn>
-double NsPerCall(Fn&& fn) {
-  fn();  // warm-up
-  size_t done = 0;
-  WallTimer timer;
-  do {
-    fn();
-    ++done;
-  } while (timer.Seconds() < g_window_seconds);
-  return timer.Seconds() * 1e9 / static_cast<double>(done);
-}
+/// Paired timing of two loops: each side's median ns per call, and the
+/// median over pairs of b's window divided by a's.
+struct PairedNs {
+  double a_ns;
+  double b_ns;
+  double b_over_a;
+};
 
-/// Interleaves `a` and `b` measurements and returns {min_a, min_b}. The
-/// minimum over many short interleaved windows is the robust estimator
-/// here: interference and frequency drift only ever slow a window down, so
-/// the per-side minima compare the two loops at the machine's best, and a
-/// one-shot comparison's ±3-5% drift noise drops below the ~2% effect being
-/// measured.
+/// Runs g_pairs pairs of back-to-back windows of `a` and `b`, alternating
+/// which side goes first. A pair's two windows see nearly the same host, so
+/// drift slower than a pair cancels in its ratio; single runs of the median
+/// ratio still spread over a few percent on a shared host.
 template <typename FnA, typename FnB>
-std::pair<double, double> MinPairNs(FnA&& a, FnB&& b) {
-  double na = 1e300, nb = 1e300;
-  for (int i = 0; i < g_min_reps; ++i) {
-    na = std::min(na, NsPerCall(a));
-    nb = std::min(nb, NsPerCall(b));
+PairedNs MedianPairNs(FnA&& a, FnB&& b) {
+  std::vector<double> na, nb, ratio;
+  for (int i = 0; i < g_pairs; ++i) {
+    double ta, tb;
+    if (i % 2 == 0) {
+      ta = bench::MedianNsPerCall(a, g_window_seconds, 1);
+      tb = bench::MedianNsPerCall(b, g_window_seconds, 1);
+    } else {
+      tb = bench::MedianNsPerCall(b, g_window_seconds, 1);
+      ta = bench::MedianNsPerCall(a, g_window_seconds, 1);
+    }
+    na.push_back(ta);
+    nb.push_back(tb);
+    ratio.push_back(tb / ta);
   }
-  return {na, nb};
+  return {bench::Median(na), bench::Median(nb), bench::Median(ratio)};
 }
 
 uint64_t Percentile(std::vector<uint64_t> v, double p) {
@@ -213,12 +214,12 @@ void WriteCancellationJson(const char* path) {
   {
     std::vector<uint32_t> out;
     QueryContext ctx;  // no budgets, no deadlines: every check is a no-op
-    const auto [off_batch_ns, on_batch_ns] =
-        MinPairNs([&] { collect_batch(nullptr, 0.01, out); },
+    const PairedNs t =
+        MedianPairNs([&] { collect_batch(nullptr, 0.01, out); },
                      [&] { collect_batch(&ctx, 0.01, out); });
-    const double off_ns = off_batch_ns / static_cast<double>(num_queries);
-    const double on_ns = on_batch_ns / static_cast<double>(num_queries);
-    const double overhead_pct = (on_ns / off_ns - 1.0) * 100.0;
+    const double off_ns = t.a_ns / static_cast<double>(num_queries);
+    const double on_ns = t.b_ns / static_cast<double>(num_queries);
+    const double overhead_pct = (t.b_over_a - 1.0) * 100.0;
     std::snprintf(buf, sizeof(buf),
                   "  \"trie_collect_queries_per_sec\": "
                   "{\"ctx_off\": %.0f, \"ctx_on\": %.0f, "
@@ -234,7 +235,7 @@ void WriteCancellationJson(const char* path) {
     const TrajView va = scratch.ExtractA(ds[1]);
     const TrajView vb = scratch.ExtractB(ds[8]);
     QueryContext ctx;
-    const auto [off_ns, on_ns] = MinPairNs(
+    const PairedNs t = MedianPairNs(
         [&] {
           scratch.SetQueryContext(nullptr);
           g_sink += kernels::DtwWithin(va, vb, 1e9, scratch) ? 1 : 0;
@@ -244,7 +245,9 @@ void WriteCancellationJson(const char* path) {
           g_sink += kernels::DtwWithin(va, vb, 1e9, scratch) ? 1 : 0;
         });
     scratch.SetQueryContext(nullptr);
-    const double overhead_pct = (on_ns / off_ns - 1.0) * 100.0;
+    const double off_ns = t.a_ns;
+    const double on_ns = t.b_ns;
+    const double overhead_pct = (t.b_over_a - 1.0) * 100.0;
     std::snprintf(buf, sizeof(buf),
                   "  \"dtw_within_calls_per_sec\": "
                   "{\"ctx_off\": %.0f, \"ctx_on\": %.0f, "
@@ -274,7 +277,7 @@ int main(int argc, char** argv) {
   const dita::bench::Args args = dita::bench::ParseArgs(argc, argv);
   if (args.quick) {
     dita::g_window_seconds = 0.01;
-    dita::g_min_reps = 3;
+    dita::g_pairs = 5;
     dita::g_cancel_trials = 16;
   }
   dita::WriteCancellationJson(

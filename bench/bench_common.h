@@ -1,6 +1,7 @@
 #ifndef DITA_BENCH_BENCH_COMMON_H_
 #define DITA_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -9,11 +10,13 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "core/engine.h"
 #include "obs/export.h"
+#include "util/timer.h"
 #include "workload/generator.h"
 
 // Provenance injected by bench/CMakeLists.txt at configure time; the
@@ -123,6 +126,33 @@ inline Args ParseArgsWithBenchmarkFlags(int argc, char** argv,
         .push_back(argv[i]);
   }
   return ParseArgs(static_cast<int>(ours.size()), ours.data());
+}
+
+/// The median of `v` (the upper one for an even count); `v` is non-empty.
+inline double Median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
+
+/// Times `fn` in `windows` back-to-back windows of about `window_seconds`
+/// of wall clock each, after one warm-up call (faults in memory, sizes
+/// thread-local scratch), and returns the median window's ns per call. A
+/// single window moves with whatever else the host runs during it; the
+/// median of several does not.
+template <typename Fn>
+double MedianNsPerCall(Fn&& fn, double window_seconds, int windows) {
+  fn();
+  std::vector<double> ns;
+  for (int w = 0; w < windows; ++w) {
+    size_t done = 0;
+    WallTimer timer;
+    do {
+      fn();
+      ++done;
+    } while (timer.Seconds() < window_seconds);
+    ns.push_back(timer.Seconds() * 1e9 / static_cast<double>(done));
+  }
+  return Median(std::move(ns));
 }
 
 inline std::shared_ptr<Cluster> MakeCluster(size_t workers) {

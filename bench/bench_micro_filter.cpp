@@ -9,10 +9,11 @@
 // trajectories/sec) so filter performance is tracked across PRs next to
 // BENCH_micro_distance.json, then runs the google-benchmark suite.
 //
-// Flags: the common bench CLI (bench::ParseArgs). --out=PATH moves the JSON
-// (default BENCH_micro_filter.json in the working directory); --quick
-// shortens every timing window to 10 ms and skips the google-benchmark
-// suite. google-benchmark's own --benchmark_* flags pass through.
+// Every JSON timing is the median of five windows of 0.1 s. Flags: the
+// common bench CLI (bench::ParseArgs). --out=PATH moves the JSON (default
+// BENCH_micro_filter.json in the working directory); --quick shortens every
+// timing window to 10 ms and skips the google-benchmark suite.
+// google-benchmark's own --benchmark_* flags pass through.
 
 #include <benchmark/benchmark.h>
 
@@ -56,22 +57,19 @@ TrieIndex::Options FilterTrieOptions() {
 }
 
 /// Measurement window per timed primitive; --quick shrinks it so the JSON
-/// write finishes in well under a second (numbers get noisy, schema stays
+/// write finishes in about a second (numbers get noisy, schema stays
 /// complete — ci.sh bench-smoke gates on shape, not precision).
 double g_measure_seconds = 0.1;
 
-/// Times `fn` until ~g_measure_seconds of wall clock has elapsed; returns ns
-/// per call.
+/// Windows per timed primitive. Single 0.1 s windows read the same trie
+/// collect anywhere in a ±30 % band run to run; the median of five holds
+/// still.
+constexpr int kWindows = 5;
+
+/// Median ns per call of `fn` over kWindows windows of g_measure_seconds.
 template <typename Fn>
 double NsPerCall(Fn&& fn) {
-  fn();  // warm-up (faults in memory, sizes thread-local scratch)
-  size_t done = 0;
-  WallTimer timer;
-  do {
-    fn();
-    ++done;
-  } while (timer.Seconds() < g_measure_seconds);
-  return timer.Seconds() * 1e9 / static_cast<double>(done);
+  return bench::MedianNsPerCall(fn, g_measure_seconds, kWindows);
 }
 
 // ---------------------------------------------------------------------------

@@ -18,6 +18,28 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// small enough to bound time-to-stop (bench_cancellation measures it).
 constexpr uint32_t kCheckStride = 256;
 
+/// Bound for a squared-distance pre-filter against `limit`: whenever
+/// dsq > SquaredLimit(limit), sqrt(dsq) > limit as well. The relative margin
+/// covers the few ulps the squared expressions can round apart, and the
+/// DBL_MIN term covers subnormal squares, so the pre-filter only ever
+/// over-admits; an exact sqrt re-test settles what it admits.
+inline double SquaredLimit(double limit) {
+  return limit * limit * (1.0 + 1e-14) + std::numeric_limits<double>::min();
+}
+
+/// The endpoint-level node test (level 0 against the query's first point,
+/// level 1 against its last) under kAccumulate without an ERP gap and under
+/// kMax. `dsq` is the node's PlaneMinDistSq to that point and `limit_sq` is
+/// SquaredLimit(limit). On pass, *d is the node's PlaneMinDist, bit for
+/// bit, so the budget the children inherit is exact. TestNode and the
+/// sibling scan in CollectCandidates both decide endpoint levels here.
+inline bool EndpointWithin(double dsq, double limit, double limit_sq,
+                           double* d) {
+  if (dsq > limit_sq) return false;  // the common prune: no sqrt
+  *d = std::sqrt(dsq);
+  return !(*d > limit);
+}
+
 template <typename T>
 size_t VecBytes(const std::vector<T>& v) {
   return v.capacity() * sizeof(T);
@@ -225,7 +247,7 @@ double TrieIndex::SuffixMinDist(const Trajectory& q, size_t suffix_start,
   // boundary cases it admits.
   double best_sq = kInf;
   size_t first_within = pts.size();
-  const double limit_sq_ub = limit * limit * (1.0 + 1e-14);
+  const double limit_sq_ub = SquaredLimit(limit);
   for (size_t j = suffix_start; j < pts.size(); ++j) {
     const double dsq = PlaneMinDistSq(xlo, ylo, xhi, yhi, pts[j]);
     best_sq = std::min(best_sq, dsq);
@@ -269,10 +291,12 @@ bool TrieIndex::TestNode(uint32_t n, const SearchSpec& spec,
         return true;
       }
       double d;
-      if (level == 0) {
-        d = PlaneMinDist(xlo, ylo, xhi, yhi, q.front());
-      } else if (level == 1) {
-        d = PlaneMinDist(xlo, ylo, xhi, yhi, q.back());
+      if (level < 2) {
+        const double dsq = PlaneMinDistSq(xlo, ylo, xhi, yhi,
+                                          level == 0 ? q.front() : q.back());
+        if (!EndpointWithin(dsq, *budget, SquaredLimit(*budget), &d)) {
+          return false;
+        }
       } else {
         // O(1) pre-test before the O(n) suffix scan.
         if (PlaneMinDistRect(xlo, ylo, xhi, yhi, suffix_mbrs[*suffix_start]) >
@@ -282,28 +306,27 @@ bool TrieIndex::TestNode(uint32_t n, const SearchSpec& spec,
         size_t next = *suffix_start;
         d = SuffixMinDist(q, *suffix_start, n, *budget, &next);
         *suffix_start = static_cast<uint32_t>(next);
+        if (d > *budget) return false;
       }
-      if (d > *budget) return false;
       *budget -= d;
       return true;
     }
     case PruneMode::kMax: {
-      double d;
-      if (level == 0) {
-        d = PlaneMinDist(xlo, ylo, xhi, yhi, q.front());
-      } else if (level == 1) {
-        d = PlaneMinDist(xlo, ylo, xhi, yhi, q.back());
-      } else {
-        if (PlaneMinDistRect(xlo, ylo, xhi, yhi, suffix_mbrs[*suffix_start]) >
-            *budget) {
-          return false;
-        }
-        size_t next = *suffix_start;
-        const double sd = SuffixMinDist(q, *suffix_start, n, *budget, &next);
-        *suffix_start = static_cast<uint32_t>(next);
-        d = sd;
+      // The budget stays tau for max-style distances.
+      if (level < 2) {
+        const double dsq = PlaneMinDistSq(xlo, ylo, xhi, yhi,
+                                          level == 0 ? q.front() : q.back());
+        double d;
+        return EndpointWithin(dsq, *budget, SquaredLimit(*budget), &d);
       }
-      return d <= *budget;  // budget stays tau for max-style distances
+      if (PlaneMinDistRect(xlo, ylo, xhi, yhi, suffix_mbrs[*suffix_start]) >
+          *budget) {
+        return false;
+      }
+      size_t next = *suffix_start;
+      const double d = SuffixMinDist(q, *suffix_start, n, *budget, &next);
+      *suffix_start = static_cast<uint32_t>(next);
+      return d <= *budget;
     }
     case PruneMode::kEditCount: {
       // A level whose indexing point cannot match any (eligible) query
@@ -337,26 +360,77 @@ void TrieIndex::CollectCandidates(const SearchSpec& spec,
   if (trajectories_.empty() || spec.query->empty()) return;
   double budget = spec.tau;
   if (spec.mode == PruneMode::kEditCount) budget = std::floor(spec.tau);
-  // suffix_mbrs[j] covers query points [j, n). Traversal buffers live in a
-  // caller-owned (or per-thread default) Scratch reused across calls:
-  // CollectCandidates runs once per (query, partition) inside hot
-  // search/join loops, and per-call allocations show up in filter-dominated
-  // profiles.
+  const Trajectory& q = *spec.query;
+  const bool accumulate = spec.mode == PruneMode::kAccumulate;
+  const bool inline_endpoints =
+      spec.mode == PruneMode::kMax || (accumulate && spec.erp_gap == nullptr);
+  // suffix_mbrs[j] covers query points [j, n). Only the pivot-level tests
+  // of those same modes read it, so it is built only when the trie has
+  // pivot levels (BFS numbering puts the deepest level last); a trie whose
+  // last-point groups are all leaves skips the O(n) setup. Traversal
+  // buffers live in a caller-owned (or per-thread default) Scratch reused
+  // across calls: CollectCandidates runs once per (query, partition) inside
+  // hot search/join loops, and per-call allocations show up in
+  // filter-dominated profiles.
   Scratch& s = scratch != nullptr ? *scratch : Scratch::ThreadLocal();
-  const auto& pts = spec.query->points();
-  std::vector<MBR>& suffix_mbrs = s.suffix_mbrs;
-  suffix_mbrs.assign(pts.size() + 1, MBR{});
-  for (size_t j = pts.size(); j-- > 0;) {
-    suffix_mbrs[j] = suffix_mbrs[j + 1];
-    suffix_mbrs[j].Expand(pts[j]);
+  const MBR* suffix_mbrs = nullptr;
+  if (inline_endpoints && level_.back() >= 2) {
+    const auto& pts = q.points();
+    s.suffix_mbrs.assign(pts.size() + 1, MBR{});
+    for (size_t j = pts.size(); j-- > 0;) {
+      s.suffix_mbrs[j] = s.suffix_mbrs[j + 1];
+      s.suffix_mbrs[j].Expand(pts[j]);
+    }
+    suffix_mbrs = s.suffix_mbrs.data();
   }
 
   // Iterative DFS. A frame is a node whose own test passed; popping an
-  // internal node scans its children — a contiguous id range, so the
-  // per-sibling MBR tests walk the SoA planes sequentially — and pushes the
-  // survivors in reverse so emission order matches the recursive reference.
+  // internal node scans its children. They are one contiguous id range at
+  // one level, so the prune mode, the level and the query point are decided
+  // once per run of siblings, not once per node: endpoint levels under
+  // kAccumulate without an ERP gap, and under kMax, are tested inline on the
+  // SoA planes (EndpointWithin, TestNode's own endpoint test); pivot levels,
+  // kEditCount and ERP go through TestNode. A passing leaf is emitted in
+  // place while no internal sibling before it has survived (that subtree
+  // comes first in DFS order); the other survivors are pushed in reverse, so
+  // emission order matches the recursive reference.
   std::vector<Frame>& stack = s.stack;
   std::vector<Frame>& survivors = s.survivors;
+  // Appends leaf n's members; false when the candidate budget stops the
+  // traversal.
+  auto emit = [&](uint32_t n) {
+    const uint32_t lo = items_begin_[n], hi = items_end_[n];
+    if (spec.ctx != nullptr && spec.ctx->ChargeCandidates(hi - lo)) {
+      return false;
+    }
+    if (hi - lo == 1) {
+      out->push_back(items_[lo]);  // the common one-trajectory leaf
+    } else {
+      out->insert(out->end(), items_.begin() + lo, items_.begin() + hi);
+    }
+    return true;
+  };
+  // A child that passed its test with budget `b` and suffix start `st`.
+  auto admit = [&](uint32_t c, uint32_t st, double b) {
+    if (child_count_[c] == 0 && survivors.empty()) return emit(c);
+    survivors.push_back(Frame{c, st, b});
+    return true;
+  };
+  auto prune = [&](uint32_t c) {
+    if (stats != nullptr) {
+      ++stats->nodes_pruned;
+      stats->pruned_members[static_cast<size_t>(level_[c])] +=
+          subtree_count_[c];
+    }
+  };
+  // Local plane pointers: the scan's stores into `out` and `survivors`
+  // would otherwise force the member vectors' data pointers to be reloaded
+  // for every child.
+  const double* xlo = xlo_.data();
+  const double* ylo = ylo_.data();
+  const double* xhi = xhi_.data();
+  const double* yhi = yhi_.data();
+  const uint8_t* chargeable = chargeable_.data();
   stack.clear();
   stack.push_back(Frame{0, 0, budget});
   uint32_t visits_since_check = 0;
@@ -369,29 +443,41 @@ void TrieIndex::CollectCandidates(const SearchSpec& spec,
     stack.pop_back();
     const uint32_t cnt = child_count_[f.node];
     if (cnt == 0) {
-      const uint32_t span =
-          items_end_[f.node] - items_begin_[f.node];
-      if (spec.ctx != nullptr && spec.ctx->ChargeCandidates(span)) return;
-      out->insert(out->end(), items_.begin() + items_begin_[f.node],
-                  items_.begin() + items_end_[f.node]);
+      if (!emit(f.node)) return;
       continue;
     }
     const uint32_t fc = first_child_[f.node];
+    const int32_t level = level_[fc];
     survivors.clear();
     visits_since_check += cnt;
-    for (uint32_t c = fc; c < fc + cnt; ++c) {
-      double b = f.budget;
-      uint32_t st = f.suffix_start;
-      const bool pass = TestNode(c, spec, suffix_mbrs.data(), &b, &st);
-      if (stats != nullptr) {
-        ++stats->nodes_visited;
-        if (!pass) {
-          ++stats->nodes_pruned;
-          stats->pruned_members[static_cast<size_t>(level_[c])] +=
-              subtree_count_[c];
+    if (stats != nullptr) stats->nodes_visited += cnt;
+    if (inline_endpoints && level < 2) {
+      const Point p = level == 0 ? q.front() : q.back();
+      const double limit_sq = SquaredLimit(f.budget);
+      for (uint32_t c = fc; c < fc + cnt; ++c) {
+        double b = f.budget;
+        // TestNode charges nothing at a non-chargeable accumulate level.
+        if (!accumulate || chargeable[c]) {
+          double d;
+          if (!EndpointWithin(PlaneMinDistSq(xlo[c], ylo[c], xhi[c], yhi[c], p),
+                              f.budget, limit_sq, &d)) {
+            prune(c);
+            continue;
+          }
+          if (accumulate) b -= d;
         }
+        if (!admit(c, f.suffix_start, b)) return;
       }
-      if (pass) survivors.push_back(Frame{c, st, b});
+    } else {
+      for (uint32_t c = fc; c < fc + cnt; ++c) {
+        double b = f.budget;
+        uint32_t st = f.suffix_start;
+        if (!TestNode(c, spec, suffix_mbrs, &b, &st)) {
+          prune(c);
+          continue;
+        }
+        if (!admit(c, st, b)) return;
+      }
     }
     for (size_t i = survivors.size(); i-- > 0;) stack.push_back(survivors[i]);
   }
@@ -404,7 +490,8 @@ void TrieIndex::CollectCandidates(const SearchSpec& spec,
 }
 
 void TrieIndex::CollectCandidatesReference(const SearchSpec& spec,
-                                           std::vector<uint32_t>* out) const {
+                                           std::vector<uint32_t>* out,
+                                           ProbeStats* stats) const {
   DITA_CHECK(spec.query != nullptr);
   if (trajectories_.empty() || spec.query->empty()) return;
   double budget = spec.tau;
@@ -416,14 +503,24 @@ void TrieIndex::CollectCandidatesReference(const SearchSpec& spec,
     suffix_mbrs[j].Expand(pts[j]);
   }
   SearchNodeReference(0, spec, suffix_mbrs.data(), budget, /*suffix_start=*/0,
-                      out);
+                      out, stats);
 }
 
 void TrieIndex::SearchNodeReference(uint32_t n, const SearchSpec& spec,
                                     const MBR* suffix_mbrs, double budget,
                                     uint32_t suffix_start,
-                                    std::vector<uint32_t>* out) const {
-  if (!TestNode(n, spec, suffix_mbrs, &budget, &suffix_start)) return;
+                                    std::vector<uint32_t>* out,
+                                    ProbeStats* stats) const {
+  const bool pass = TestNode(n, spec, suffix_mbrs, &budget, &suffix_start);
+  if (stats != nullptr && n != 0) {  // the root is never tested
+    ++stats->nodes_visited;
+    if (!pass) {
+      ++stats->nodes_pruned;
+      stats->pruned_members[static_cast<size_t>(level_[n])] +=
+          subtree_count_[n];
+    }
+  }
+  if (!pass) return;
   const uint32_t cnt = child_count_[n];
   if (cnt == 0) {
     out->insert(out->end(), items_.begin() + items_begin_[n],
@@ -431,7 +528,8 @@ void TrieIndex::SearchNodeReference(uint32_t n, const SearchSpec& spec,
     return;
   }
   for (uint32_t c = first_child_[n]; c < first_child_[n] + cnt; ++c) {
-    SearchNodeReference(c, spec, suffix_mbrs, budget, suffix_start, out);
+    SearchNodeReference(c, spec, suffix_mbrs, budget, suffix_start, out,
+                        stats);
   }
 }
 

@@ -165,17 +165,19 @@ class TrieIndex {
   /// CollectCandidatesReference. With `stats` non-null the traversal also
   /// tallies visited/pruned nodes and pruned subtree membership per level
   /// (stats are *added* to, call ProbeStats::Reset first); the stats == null
-  /// hot path costs one predictable branch per tested node. `scratch` may be
-  /// null (the per-thread default is used).
+  /// hot path costs one predictable branch per sibling run and per pruned
+  /// node. `scratch` may be null (the per-thread default is used).
   void CollectCandidates(const SearchSpec& spec, std::vector<uint32_t>* out,
                          ProbeStats* stats = nullptr,
                          Scratch* scratch = nullptr) const;
 
   /// The recursive reference traversal — the pre-flattening implementation
   /// ported onto the flat arrays, kept as the oracle for the equivalence
-  /// tests. Not used on hot paths.
+  /// tests. Not used on hot paths. `stats`, when non-null, is tallied the
+  /// way CollectCandidates tallies it, so the tests can pin the funnel too.
   void CollectCandidatesReference(const SearchSpec& spec,
-                                  std::vector<uint32_t>* out) const;
+                                  std::vector<uint32_t>* out,
+                                  ProbeStats* stats = nullptr) const;
 
   const std::vector<Trajectory>& trajectories() const { return trajectories_; }
   const Trajectory& trajectory(uint32_t pos) const { return trajectories_[pos]; }
@@ -201,14 +203,17 @@ class TrieIndex {
   /// Evaluates node `n`'s level test for `spec`. Returns false when the
   /// subtree is pruned; otherwise updates *budget / *suffix_start with the
   /// values its children inherit. `suffix_mbrs` points at the query's
-  /// suffix-MBR table (suffix_mbrs[j] covers query points [j, n)).
+  /// suffix-MBR table (suffix_mbrs[j] covers query points [j, n)). The
+  /// reference traversal tests every node here; CollectCandidates tests
+  /// pivot levels, kEditCount and ERP here and endpoint levels inline,
+  /// through the same endpoint helper this function uses.
   bool TestNode(uint32_t n, const SearchSpec& spec, const MBR* suffix_mbrs,
                 double* budget, uint32_t* suffix_start) const;
 
   void SearchNodeReference(uint32_t n, const SearchSpec& spec,
                            const MBR* suffix_mbrs, double budget,
-                           uint32_t suffix_start,
-                           std::vector<uint32_t>* out) const;
+                           uint32_t suffix_start, std::vector<uint32_t>* out,
+                           ProbeStats* stats) const;
 
   /// MinDist from the query's suffix [suffix_start, n) to node MBR `n`;
   /// also computes the next suffix start per Lemma 5.1 under threshold

@@ -2,10 +2,12 @@
 // (DESIGN.md §5c): the iterative flat traversals must emit bit-identical
 // candidate sets — content AND order — to the recursive reference
 // formulations, across every prune mode, metric quirk (ERP gap, LCSS delta
-// window), fanout, and leaf capacity; and parallel builds must produce
+// window), fanout, and leaf capacity, with the same probe counters (the
+// EXPLAIN funnel's trie levels); and parallel builds must produce
 // byte-identical structures to serial ones.
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include "index/rtree.h"
 #include "index/str_tile.h"
 #include "index/trie_index.h"
+#include "util/query_context.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "workload/generator.h"
@@ -39,19 +42,67 @@ TrieIndex::Options TrieOptions(size_t align_fanout, size_t pivot_fanout,
 }
 
 /// Exercises one (index, spec) pair: the flat traversal must match the
-/// recursive reference exactly, including emission order.
-void ExpectTraversalsAgree(const TrieIndex& index,
-                           const TrieIndex::SearchSpec& spec) {
-  std::vector<uint32_t> flat, reference;
+/// recursive reference exactly, including emission order, with and without
+/// probe counters and with a context that never stops; the counters must
+/// match the reference's too. Returns the reference output.
+std::vector<uint32_t> ExpectTraversalsAgree(const TrieIndex& index,
+                                            TrieIndex::SearchSpec spec) {
+  std::vector<uint32_t> reference;
+  TrieIndex::ProbeStats ref_stats;
+  ref_stats.Reset(index.num_levels());
+  index.CollectCandidatesReference(spec, &reference, &ref_stats);
+
+  std::vector<uint32_t> flat;
   index.CollectCandidates(spec, &flat);
-  index.CollectCandidatesReference(spec, &reference);
   EXPECT_EQ(flat, reference);
+
+  std::vector<uint32_t> counted;
+  TrieIndex::ProbeStats stats;
+  stats.Reset(index.num_levels());
+  index.CollectCandidates(spec, &counted, &stats);
+  EXPECT_EQ(counted, reference);
+  EXPECT_EQ(stats.nodes_visited, ref_stats.nodes_visited);
+  EXPECT_EQ(stats.nodes_pruned, ref_stats.nodes_pruned);
+  EXPECT_EQ(stats.pruned_members, ref_stats.pruned_members);
+
+  QueryContext never_stops;
+  spec.ctx = &never_stops;
+  std::vector<uint32_t> governed;
+  index.CollectCandidates(spec, &governed);
+  EXPECT_EQ(governed, reference);
+  EXPECT_FALSE(never_stops.stopped());
+  return reference;
+}
+
+/// Every prune mode and metric quirk for one (query, tau): accumulate, ERP,
+/// max, edit count and the LCSS delta window. Returns how many of the
+/// outputs were non-empty.
+size_t ExpectAllModesAgree(const TrieIndex& index, const Trajectory& q,
+                           double tau) {
+  static const Point gap{116.4, 39.9};
+  size_t nonempty = 0;
+  TrieIndex::SearchSpec spec;
+  spec.query = &q;
+  spec.tau = tau;
+  spec.mode = PruneMode::kAccumulate;
+  nonempty += !ExpectTraversalsAgree(index, spec).empty();
+  spec.erp_gap = &gap;  // ERP: gap matching, no endpoint alignment
+  nonempty += !ExpectTraversalsAgree(index, spec).empty();
+  spec.erp_gap = nullptr;
+  spec.mode = PruneMode::kMax;
+  nonempty += !ExpectTraversalsAgree(index, spec).empty();
+  spec.mode = PruneMode::kEditCount;
+  spec.epsilon = 0.05;
+  spec.tau = tau * 40.0;  // edit budgets, not distances
+  nonempty += !ExpectTraversalsAgree(index, spec).empty();
+  spec.lcss_delta = 5;  // adds the |i - j| <= delta window
+  nonempty += !ExpectTraversalsAgree(index, spec).empty();
+  return nonempty;
 }
 
 TEST(FlatTrieTest, MatchesReferenceAcrossModesAndShapes) {
   const std::vector<Trajectory> data = TestTrajectories(400, 91);
   const std::vector<Trajectory> queries = TestTrajectories(12, 17);
-  const Point gap{116.4, 39.9};
 
   const struct {
     size_t align, pivot, leaf;
@@ -65,32 +116,7 @@ TEST(FlatTrieTest, MatchesReferenceAcrossModesAndShapes) {
     size_t nonempty = 0;
     for (const Trajectory& q : queries) {
       for (double tau : {0.0, 0.02, 0.1, 0.5}) {
-        TrieIndex::SearchSpec spec;
-        spec.query = &q;
-        spec.tau = tau;
-
-        spec.mode = PruneMode::kAccumulate;
-        ExpectTraversalsAgree(index, spec);
-
-        spec.erp_gap = &gap;  // ERP: gap matching, no endpoint alignment
-        ExpectTraversalsAgree(index, spec);
-        spec.erp_gap = nullptr;
-
-        spec.mode = PruneMode::kMax;
-        ExpectTraversalsAgree(index, spec);
-
-        spec.mode = PruneMode::kEditCount;
-        spec.epsilon = 0.05;
-        spec.tau = tau * 40.0;  // edit budgets, not distances
-        ExpectTraversalsAgree(index, spec);
-
-        spec.lcss_delta = 5;  // adds the |i - j| <= delta window
-        ExpectTraversalsAgree(index, spec);
-        spec.lcss_delta = -1;
-
-        std::vector<uint32_t> out;
-        index.CollectCandidates(spec, &out);
-        nonempty += !out.empty();
+        nonempty += ExpectAllModesAgree(index, q, tau);
       }
     }
     // Guard against the vacuous pass where every traversal prunes at the
@@ -128,6 +154,113 @@ TEST(FlatTrieTest, EmptyAndSingletonPartitions) {
     single.CollectCandidates(spec, &out);
     EXPECT_EQ(out, std::vector<uint32_t>{0});  // exact self-match survives
   }
+}
+
+TEST(FlatTrieTest, ShippedShapeWithOneTrajectoryLeavesMatchesReference) {
+  // The engine's default trie options over a partition-sized table: each
+  // first-point group is split once more at the last point, and those
+  // groups hold about one trajectory each, so level 1 is (almost) all
+  // one-trajectory leaves that the traversal emits in place.
+  const std::vector<Trajectory> data = TestTrajectories(1200, 44);
+  TrieIndex index;
+  ASSERT_TRUE(index.Build(data, TrieIndex::Options{}).ok());
+  // More nodes than trajectories: the leaves are about one per trajectory.
+  EXPECT_GT(index.NodeCount(), index.size());
+
+  const std::vector<Trajectory> queries = TestTrajectories(10, 3);
+  size_t nonempty = 0;
+  for (size_t i = 0; i < 20; ++i) {
+    const Trajectory& q = i < 10 ? queries[i] : data[(i * 97) % data.size()];
+    for (double tau : {0.0, 0.002, 0.005, 0.02, 0.1}) {
+      nonempty += ExpectAllModesAgree(index, q, tau);
+    }
+  }
+  EXPECT_GT(nonempty, 0u);
+}
+
+TEST(FlatTrieTest, LeafAfterInternalSiblingKeepsDfsOrder) {
+  // STR tiling with fanout 4 cuts 18 first points into groups of 5, 4, 5
+  // and 4. With leaf capacity 4 the level-0 run is internal, leaf,
+  // internal, leaf: each leaf must wait for the internal subtree before it.
+  // With leaf capacity 1 every level-0 node is internal and the first one's
+  // level-1 run (groups of 2, 1, 1, 1) mixes the same way one level down.
+  const std::vector<Trajectory> data = TestTrajectories(18, 8);
+  const std::vector<Trajectory> queries = TestTrajectories(6, 9);
+  for (size_t leaf : {4u, 1u}) {
+    TrieIndex index;
+    ASSERT_TRUE(index.Build(data, TrieOptions(4, 2, leaf)).ok());
+    // BFS numbering: nodes 1-4 are level 0, 5-8 the first one's children.
+    ASSERT_EQ(index.SubtreeCount(1), 5u);
+    ASSERT_EQ(index.SubtreeCount(2), 4u);
+    ASSERT_EQ(index.SubtreeCount(3), 5u);
+    ASSERT_EQ(index.SubtreeCount(4), 4u);
+    if (leaf == 1) {
+      ASSERT_EQ(index.SubtreeCount(5), 2u);
+      ASSERT_EQ(index.SubtreeCount(6), 1u);
+      ASSERT_EQ(index.SubtreeCount(7), 1u);
+      ASSERT_EQ(index.SubtreeCount(8), 1u);
+    }
+    // An unbounded budget passes every node: the output is the whole table
+    // in DFS leaf order, which in-place emission must not reorder.
+    TrieIndex::SearchSpec spec;
+    spec.query = &queries[0];
+    spec.tau = std::numeric_limits<double>::infinity();
+    for (PruneMode mode : {PruneMode::kAccumulate, PruneMode::kMax}) {
+      spec.mode = mode;
+      EXPECT_EQ(ExpectTraversalsAgree(index, spec).size(), data.size());
+    }
+    for (const Trajectory& q : queries) {
+      for (double tau : {0.0, 0.02, 0.1, 0.5}) ExpectAllModesAgree(index, q, tau);
+    }
+  }
+}
+
+TEST(FlatTrieTest, TauExactlyAtEndpointMinDistIsKept) {
+  // A trajectory whose endpoint node is its own one-point MBR sits exactly
+  // on the prune boundary when tau equals that endpoint's MinDist: the
+  // squared pre-filter must admit it and the exact test keep it, as in the
+  // reference (d <= tau passes).
+  const std::vector<Trajectory> data = TestTrajectories(1200, 61);
+  const Point off{0.0137, -0.0071};  // shifts an endpoint off its node
+
+  // Level 1: the shipped shape, whose level-1 nodes hold one trajectory.
+  // The query starts at t's first point (level 0 costs nothing, so the
+  // accumulate budget at level 1 is still tau) and ends off t's last one.
+  TrieIndex shipped;
+  ASSERT_TRUE(shipped.Build(data, TrieIndex::Options{}).ok());
+  // Level 0: one first-point group per trajectory, so every level-0 node is
+  // a one-trajectory leaf; the query starts off t's first point.
+  const std::vector<Trajectory> few(data.begin(), data.begin() + 64);
+  TrieIndex wide;
+  ASSERT_TRUE(wide.Build(few, TrieOptions(64, 4, 1)).ok());
+
+  size_t kept = 0;
+  for (size_t i = 0; i < few.size(); ++i) {
+    const Trajectory& t = few[i];
+    std::vector<Point> back_pts = t.points();
+    back_pts.back() = Point{t.back().x + off.x, t.back().y + off.y};
+    const Trajectory back_query(9000 + i, back_pts);
+    std::vector<Point> front_pts = t.points();
+    front_pts.front() = Point{t.front().x + off.x, t.front().y + off.y};
+    const Trajectory front_query(9500 + i, front_pts);
+
+    for (PruneMode mode : {PruneMode::kAccumulate, PruneMode::kMax}) {
+      TrieIndex::SearchSpec spec;
+      spec.mode = mode;
+      spec.query = &back_query;
+      spec.tau = MBR::FromPoint(t.back()).MinDist(back_query.back());
+      std::vector<uint32_t> out = ExpectTraversalsAgree(shipped, spec);
+      kept += std::find(out.begin(), out.end(), i) != out.end();
+
+      spec.query = &front_query;
+      spec.tau = MBR::FromPoint(t.front()).MinDist(front_query.front());
+      out = ExpectTraversalsAgree(wide, spec);
+      kept += std::find(out.begin(), out.end(), i) != out.end();
+    }
+  }
+  // Most boundary trajectories are kept (those whose endpoint node is
+  // shared with a neighbour are kept too, with d < tau).
+  EXPECT_GT(kept, few.size());
 }
 
 TEST(FlatTrieTest, ParallelBuildIsBitIdenticalToSerial) {
