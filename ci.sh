@@ -85,10 +85,12 @@ obs_filter='Obs|Funnel|Logging|FlightRecorder|obs_demo_schema'
 
 # The serving pass: the unified-API alias tests, the scheduler's fair-share,
 # queueing and bypass cases, the Submit/Stop race, the streaming-ingest
-# batch-oracle property, the answer-cache staleness/LRU suite, the
-# request-boundary rejections, and the concurrent soak (ingest + background
-# epoch merges + sync/async queries racing) — plain first, then under TSan
-# so snapshot pinning, the merge thread, and the executor pool are
+# batch-oracle property, the write path and merge replay against a map
+# model, the answer-cache staleness/LRU suite, the request-boundary
+# rejections, and the concurrent soak (ingest + background epoch merges +
+# sync/async searches and kNN reads + a low-priority self-join racing, then
+# a self-join checked against a batch engine) — plain first, then under
+# TSan so snapshot pinning, the merge thread, and the executor pool are
 # race-checked.
 serving_filter='Serving|QueryScheduler|ExecuteAlias|DitaService|DataFrame|AnswerCache|RequestBoundary'
 
@@ -118,8 +120,8 @@ case "${mode}" in
                      -DDITA_SANITIZE=thread ;;
   # The bench-smoke pass runs the two benches whose JSON the repo commits
   # (micro-filter: trie collect / R-tree probe / build / cell-bound timings;
-  # serving: the open-loop runtime + answer-cache and observability A/Bs)
-  # in --quick mode, then
+  # serving: the answer-cache and observability A/Bs, each with its answers
+  # checked) in --quick mode, then
   # validates structure and tolerance-diffs throughput vs the committed
   # baselines. Quick mode shrinks measurement windows ~10x, so the gate is
   # loose (see tools/check_bench_json.py) — it catches emitter bit-rot and

@@ -146,14 +146,6 @@ struct DitaConfig {
   DistanceType distance = DistanceType::kDTW;
   DistanceParams distance_params;
 
-  /// Sample rate used to estimate the join bi-graph's trans/comp edge
-  /// weights (§6.2 "DITA samples T and Q").
-  double join_sample_rate = 0.1;
-
-  /// Partitions whose total cost exceeds this quantile of the per-partition
-  /// cost distribution are divided (replicated) for load balancing (§6.3).
-  double division_quantile = 0.98;
-
   /// Observability (src/obs/): off by default, and when off every
   /// instrumentation site compiles down to one null-handle branch. Tracing
   /// records nested spans (query -> stage -> task -> verify) on the

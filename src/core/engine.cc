@@ -840,39 +840,6 @@ Result<std::vector<KnnNeighbor>> DitaEngine::KnnSearchImpl(
   return scored;
 }
 
-Result<std::vector<DitaEngine::KnnJoinRow>> DitaEngine::KnnJoin(
-    const DitaEngine& right, size_t k) const {
-  if (!indexed_ || !right.indexed_) {
-    return Status::Internal("KnnJoin before BuildIndex");
-  }
-  if (cluster_.get() != right.cluster_.get()) {
-    return Status::InvalidArgument("joined tables must share a cluster");
-  }
-  if (k == 0) return std::vector<KnnJoinRow>{};
-  if (k > right.index_stats_.num_trajectories) {
-    return Status::InvalidArgument("k exceeds the right table cardinality");
-  }
-
-  // One best-first kNN sweep per left trajectory against the right index.
-  std::vector<KnnJoinRow> rows;
-  for (const Partition& part : partitions_) {
-    for (uint32_t pos = 0; pos < part.trie.size(); ++pos) {
-      const Trajectory& t = part.trie.trajectory(pos);
-      auto knn = right.KnnSearch(t, k);
-      DITA_RETURN_IF_ERROR(knn.status());
-      for (const auto& [id, d] : *knn) {
-        rows.push_back(KnnJoinRow{t.id(), id, d});
-      }
-    }
-  }
-  std::sort(rows.begin(), rows.end(), [](const KnnJoinRow& a, const KnnJoinRow& b) {
-    if (a.left != b.left) return a.left < b.left;
-    if (a.distance != b.distance) return a.distance < b.distance;
-    return a.right < b.right;
-  });
-  return rows;
-}
-
 Result<std::vector<std::pair<TrajectoryId, TrajectoryId>>> DitaEngine::JoinImpl(
     const DitaEngine& right, double tau, JoinStats* stats,
     QueryContext* ctx) const {

@@ -272,23 +272,6 @@ class DitaEngine {
       const Trajectory& q, size_t k, QueryStats* stats = nullptr,
       QueryContext* ctx = nullptr) const;
 
-  /// One kNN-join result row: a left trajectory and one of its k nearest
-  /// right trajectories.
-  struct KnnJoinRow {
-    TrajectoryId left = -1;
-    TrajectoryId right = -1;
-    double distance = 0.0;
-
-    friend bool operator==(const KnnJoinRow&, const KnnJoinRow&) = default;
-  };
-
-  /// kNN similarity join (§8 future work): for every trajectory of this
-  /// table, its k nearest trajectories in `right`, via one best-first kNN
-  /// sweep per left trajectory over the right table's index. Rows are
-  /// grouped by left id (ascending), each group in (distance, id) order.
-  Result<std::vector<KnnJoinRow>> KnnJoin(const DitaEngine& right,
-                                          size_t k) const;
-
  private:
   friend class JoinPlanner;
   friend class DitaService;

@@ -17,6 +17,14 @@ namespace {
 // against simulated network seconds, so the ratio matters, not the scale.
 constexpr double kSecondsPerDpCell = 2.3e-9;
 
+// Share of each partition's trajectories sampled to estimate the bi-graph's
+// trans/comp edge weights (§6.2, "DITA samples T and Q").
+constexpr double kJoinSampleRate = 0.1;
+
+// Nodes whose cost exceeds this quantile of the per-node cost distribution
+// are divided (replicated) for load balancing (§6.3).
+constexpr double kDivisionQuantile = 0.98;
+
 }  // namespace
 
 JoinPlanner::JoinPlanner(const DitaEngine& left, const DitaEngine& right,
@@ -53,9 +61,9 @@ void JoinPlanner::BuildGraph() {
 
 void JoinPlanner::EstimateWeights() {
   // Sample trajectories of each partition once; reuse across its edges.
-  const double rate = left_.config_.join_sample_rate;
-  auto sample_positions = [&](size_t partition_size) {
-    size_t want = static_cast<size_t>(std::ceil(rate * double(partition_size)));
+  auto sample_positions = [](size_t partition_size) {
+    size_t want = static_cast<size_t>(
+        std::ceil(kJoinSampleRate * double(partition_size)));
     want = std::clamp<size_t>(want, 1, 16);
     std::vector<uint32_t> out;
     const size_t stride = std::max<size_t>(1, partition_size / want);
@@ -222,13 +230,13 @@ void JoinPlanner::PlanDivisions() {
   std::vector<double> tc = NodeCosts();
   std::vector<double> sorted = tc;
   std::sort(sorted.begin(), sorted.end());
-  // The division_quantile of the node costs, interpolated linearly between
-  // order statistics at position q * (n - 1). A nearest-rank pick lands on
-  // the hottest cost itself whenever ties sit at the top — and in a
-  // self-join the hottest partition is two bi-graph nodes (its left and its
-  // right copy) that orientation leaves tied — so no node could exceed it.
-  const double q = std::clamp(left_.config_.division_quantile, 0.0, 1.0);
-  const double pos = q * double(sorted.size() - 1);
+  // The kDivisionQuantile of the node costs, interpolated linearly between
+  // order statistics at position kDivisionQuantile * (n - 1). A
+  // nearest-rank pick lands on the hottest cost itself whenever ties sit at
+  // the top — and in a self-join the hottest partition is two bi-graph
+  // nodes (its left and its right copy) that orientation leaves tied — so
+  // no node could exceed it.
+  const double pos = kDivisionQuantile * double(sorted.size() - 1);
   const size_t lo = static_cast<size_t>(std::floor(pos));
   const size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double threshold =

@@ -282,67 +282,41 @@ uint64_t DitaService::merges() const {
 Status DitaService::Insert(const Trajectory& t) {
   if (!started_) return Status::Internal("DitaService used before Start");
   DITA_RETURN_IF_ERROR(ValidateTrajectory(t));
-  {
-    std::lock_guard<std::mutex> lock(write_mu_);
-    const std::shared_ptr<const TableSnapshot> cur = Pin();
-    if (cur->IsLive(t.id())) {
-      return Status::InvalidArgument("trajectory id is already live");
-    }
-    auto next = std::make_shared<TableSnapshot>(*cur);
-    next->version = cur->version + 1;
-    next->inserts.push_back(t);
-    if (merging_) op_log_.push_back(Op{true, t, -1});
-    {
-      std::lock_guard<std::mutex> slock(snap_mu_);
-      snap_ = std::move(next);
-    }
-  }
-  answer_cache_.InvalidateAll();
-  m_inserts_.Increment();
-  inserts_count_.fetch_add(1, std::memory_order_relaxed);
-  {
-    const std::shared_ptr<const TableSnapshot> now_snap = Pin();
-    g_delta_bytes_.Set(static_cast<int64_t>(DeltaBytes(*now_snap)));
-    g_merge_backlog_.Set(static_cast<int64_t>(now_snap->delta_ops()));
-  }
-  MaybeScheduleMerge();
-  return Status::OK();
+  return Write(WriteOp{true, t, -1});
 }
 
 Status DitaService::Delete(TrajectoryId id) {
   if (!started_) return Status::Internal("DitaService used before Start");
+  return Write(WriteOp{false, Trajectory(), id});
+}
+
+Status DitaService::Write(WriteOp op) {
+  const bool is_insert = op.is_insert;
   {
     std::lock_guard<std::mutex> lock(write_mu_);
     const std::shared_ptr<const TableSnapshot> cur = Pin();
     auto next = std::make_shared<TableSnapshot>(*cur);
+    DITA_RETURN_IF_ERROR(next->Apply(op));
     next->version = cur->version + 1;
-    const auto it = std::find_if(
-        next->inserts.begin(), next->inserts.end(),
-        [id](const Trajectory& t) { return t.id() == id; });
-    if (it != next->inserts.end()) {
-      // A pending insert dies in the buffer; it never reaches `deleted`.
-      next->inserts.erase(it);
-    } else if (cur->InBase(id) && cur->deleted.count(id) == 0) {
-      next->deleted.insert(id);
-    } else {
-      return Status::NotFound("trajectory id is not live");
-    }
-    if (merging_) op_log_.push_back(Op{false, Trajectory(), id});
-    {
-      std::lock_guard<std::mutex> slock(snap_mu_);
-      snap_ = std::move(next);
-    }
+    if (merging_) op_log_.push_back(std::move(op));
+    std::lock_guard<std::mutex> slock(snap_mu_);
+    snap_ = std::move(next);
   }
+  (is_insert ? m_inserts_ : m_deletes_).Increment();
+  (is_insert ? inserts_count_ : deletes_count_)
+      .fetch_add(1, std::memory_order_relaxed);
+  AfterPublish();
+  return Status::OK();
+}
+
+void DitaService::AfterPublish() {
   answer_cache_.InvalidateAll();
-  m_deletes_.Increment();
-  deletes_count_.fetch_add(1, std::memory_order_relaxed);
   {
     const std::shared_ptr<const TableSnapshot> now_snap = Pin();
     g_delta_bytes_.Set(static_cast<int64_t>(DeltaBytes(*now_snap)));
     g_merge_backlog_.Set(static_cast<int64_t>(now_snap->delta_ops()));
   }
   MaybeScheduleMerge();
-  return Status::OK();
 }
 
 void DitaService::MaybeScheduleMerge() {
@@ -405,12 +379,7 @@ Status DitaService::MergeOnce() {
   // Rebuild outside the write lock: queries keep answering from the old
   // snapshot, and concurrent writes keep landing in the *current* snapshot
   // (visible immediately) while also being recorded in op_log_ for replay.
-  std::vector<Trajectory> new_data;
-  new_data.reserve(src->base_size() + src->inserts.size());
-  for (const Trajectory& t : *src->base_data) {
-    if (src->deleted.count(t.id()) == 0) new_data.push_back(t);
-  }
-  for (const Trajectory& t : src->inserts) new_data.push_back(t);
+  std::vector<Trajectory> new_data = src->LiveTrajectories();
 
   std::shared_ptr<DitaEngine> base;
   if (!new_data.empty()) {
@@ -441,21 +410,10 @@ Status DitaService::MergeOnce() {
     next->base_ids = std::move(ids);
     // Replay writes that raced the rebuild: they are already visible in
     // `cur`'s delta, but against the *old* base; re-expressing them against
-    // the new base keeps the live set identical across the publish.
-    for (Op& op : op_log_) {
-      if (op.is_insert) {
-        next->inserts.push_back(std::move(op.insert));
-        continue;
-      }
-      const auto it = std::find_if(
-          next->inserts.begin(), next->inserts.end(),
-          [&op](const Trajectory& t) { return t.id() == op.erase; });
-      if (it != next->inserts.end()) {
-        next->inserts.erase(it);
-      } else if (next->base_ids->count(op.erase) > 0) {
-        next->deleted.insert(op.erase);
-      }
-    }
+    // the new base keeps the live set identical across the publish. The new
+    // base's live set is `src`'s, and each logged write succeeded on `src`
+    // plus the writes before it, so no replayed write can fail.
+    for (const WriteOp& op : op_log_) DITA_CHECK(next->Apply(op).ok());
     op_log_.clear();
     merging_ = false;
     ++merges_;
@@ -465,16 +423,10 @@ Status DitaService::MergeOnce() {
     }
   }
   close_busy_window();
-  answer_cache_.InvalidateAll();
   m_merges_.Increment();
   if (tracer_ != nullptr) tracer_->Instant("serving.epoch.published");
-  {
-    const std::shared_ptr<const TableSnapshot> now_snap = Pin();
-    g_delta_bytes_.Set(static_cast<int64_t>(DeltaBytes(*now_snap)));
-    g_merge_backlog_.Set(static_cast<int64_t>(now_snap->delta_ops()));
-  }
   // Writes that raced the rebuild may already exceed the threshold again.
-  MaybeScheduleMerge();
+  AfterPublish();
   return Status::OK();
 }
 

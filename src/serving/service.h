@@ -248,12 +248,6 @@ class DitaService {
   const std::shared_ptr<Cluster>& cluster() const { return cluster_; }
 
  private:
-  struct Op {
-    bool is_insert = false;
-    Trajectory insert;
-    TrajectoryId erase = -1;
-  };
-
   /// Estimated admission cost of `req` against `snap` (cost_hint wins).
   uint64_t EstimateCost(const TableSnapshot& snap, const QueryRequest& req) const;
 
@@ -320,7 +314,15 @@ class DitaService {
                        std::vector<TrajectoryId>* out,
                        PhaseSplit* split = nullptr) const;
 
-  /// One epoch merge: rebuild the base over (base \ deleted) + inserts,
+  /// The write path of Insert and Delete: applies `op` to a copy of the
+  /// current snapshot, publishes it as version + 1 (logging `op` for replay
+  /// when a merge is running), then runs AfterPublish. A rejected write
+  /// publishes nothing.
+  Status Write(WriteOp op);
+  /// After every publish (write or merge): invalidate the answer cache,
+  /// refresh the delta gauges, and schedule a merge if one is due.
+  void AfterPublish();
+  /// One epoch merge: rebuild the base over the live set,
   /// replay operations that arrived mid-merge, publish epoch+1. Returns
   /// immediately when the delta is empty or another merge is running.
   Status MergeOnce();
@@ -349,7 +351,7 @@ class DitaService {
   /// it.
   mutable std::mutex write_mu_;
   bool merging_ = false;
-  std::vector<Op> op_log_;
+  std::vector<WriteOp> op_log_;
   uint64_t merges_ = 0;
 
   /// Background merge thread. `stop_` is atomic so the executor pool and

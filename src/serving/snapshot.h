@@ -1,6 +1,7 @@
 #ifndef DITA_SERVING_SNAPSHOT_H_
 #define DITA_SERVING_SNAPSHOT_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <unordered_set>
@@ -8,8 +9,16 @@
 
 #include "core/engine.h"
 #include "geom/trajectory.h"
+#include "util/status.h"
 
 namespace dita {
+
+/// One write to a served table: insert `insert`, or delete the id `erase`.
+struct WriteOp {
+  bool is_insert = false;
+  Trajectory insert;
+  TrajectoryId erase = -1;
+};
 
 /// One immutable, consistent view of a served trajectory table: a base
 /// engine (the flat trie / R-tree indexes of some epoch) plus the delta that
@@ -21,7 +30,7 @@ namespace dita {
 /// base data, and base-id set are shared across versions of an epoch, only
 /// the small delta vectors are copied per write).
 ///
-/// Invariants, maintained by DitaService's write path:
+/// Invariants, maintained by Apply (DitaService's one write path):
 ///  - `deleted` is a subset of `base_ids` (a deleted pending insert is
 ///    removed from `inserts` directly, it never reaches `deleted`);
 ///  - ids of `inserts` are disjoint from the live base ids
@@ -37,12 +46,10 @@ struct TableSnapshot {
   uint64_t version = 0;
 
   /// The epoch's immutable base index; null when the base is empty (fresh
-  /// service started without data, or a merge deleted everything). The
-  /// engine is built with admission disabled — DitaService's scheduler owns
-  /// admission, and double-gating would deadlock composed queries.
+  /// service started without data, or a merge deleted everything).
   std::shared_ptr<const DitaEngine> base;
   /// The exact trajectories `base` indexes, in build order; the next epoch
-  /// merge rebuilds from (base_data \ deleted) + inserts.
+  /// merge rebuilds from LiveTrajectories().
   std::shared_ptr<const std::vector<Trajectory>> base_data;
   /// Ids of `base_data`, for O(1) liveness checks.
   std::shared_ptr<const std::unordered_set<TrajectoryId>> base_ids;
@@ -69,11 +76,49 @@ struct TableSnapshot {
   }
 
   bool IsLive(TrajectoryId id) const {
-    if (InBase(id)) return deleted.count(id) == 0;
+    if (InBase(id) && deleted.count(id) == 0) return true;
+    // A deleted base id may be live again as an insert.
     for (const Trajectory& t : inserts) {
       if (t.id() == id) return true;
     }
     return false;
+  }
+
+  /// The live set in merge order: base_data minus `deleted`, then `inserts`.
+  std::vector<Trajectory> LiveTrajectories() const {
+    std::vector<Trajectory> live;
+    live.reserve(live_size());
+    for (const Trajectory& t : *base_data) {
+      if (deleted.count(t.id()) == 0) live.push_back(t);
+    }
+    live.insert(live.end(), inserts.begin(), inserts.end());
+    return live;
+  }
+
+  /// Applies one write to the delta; `version` and `epoch` are the
+  /// publisher's. An insert of a live id is InvalidArgument, a delete of an
+  /// id that is not live is NotFound, and either leaves the snapshot as it
+  /// was. A deleted pending insert leaves `inserts`; it never reaches
+  /// `deleted`.
+  Status Apply(const WriteOp& op) {
+    if (op.is_insert) {
+      if (IsLive(op.insert.id())) {
+        return Status::InvalidArgument("trajectory id is already live");
+      }
+      inserts.push_back(op.insert);
+      return Status::OK();
+    }
+    const auto it = std::find_if(
+        inserts.begin(), inserts.end(),
+        [&op](const Trajectory& t) { return t.id() == op.erase; });
+    if (it != inserts.end()) {
+      inserts.erase(it);
+    } else if (InBase(op.erase) && deleted.count(op.erase) == 0) {
+      deleted.insert(op.erase);
+    } else {
+      return Status::NotFound("trajectory id is not live");
+    }
+    return Status::OK();
   }
 };
 

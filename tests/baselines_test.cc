@@ -11,6 +11,7 @@
 #include "baselines/vptree.h"
 #include "core/engine.h"
 #include "workload/generator.h"
+#include "test_data.h"
 
 namespace dita {
 namespace {
@@ -21,17 +22,7 @@ std::shared_ptr<Cluster> MakeCluster(size_t workers = 4) {
   return std::make_shared<Cluster>(cfg);
 }
 
-Dataset CityDataset(size_t n = 300, uint64_t seed = 11) {
-  GeneratorConfig cfg;
-  cfg.cardinality = n;
-  cfg.region = MBR(Point{0, 0}, Point{1, 1});
-  cfg.step = 0.01;
-  cfg.avg_len = 14;
-  cfg.min_len = 4;
-  cfg.max_len = 40;
-  cfg.seed = seed;
-  return GenerateTaxiDataset(cfg);
-}
+const CityShape kShape{.avg_len = 14, .max_len = 40};
 
 std::vector<TrajectoryId> BruteForceSearch(const Dataset& ds,
                                            const TrajectoryDistance& dist,
@@ -50,7 +41,7 @@ class DistributedEnginesAgree : public ::testing::TestWithParam<DistanceType> {
 
 TEST_P(DistributedEnginesAgree, SearchMatchesBruteForce) {
   const DistanceType type = GetParam();
-  Dataset ds = CityDataset();
+  Dataset ds = CityDataset(300, 11, kShape);
   auto dist = *MakeDistance(type);
 
   auto cluster = MakeCluster();
@@ -88,19 +79,19 @@ INSTANTIATE_TEST_SUITE_P(Distances, DistributedEnginesAgree,
 TEST(SimbaTest, RejectsUnsupportedDistances) {
   auto cluster = MakeCluster();
   SimbaEngine simba(cluster, DistanceType::kEDR);
-  EXPECT_EQ(simba.BuildIndex(CityDataset(20)).code(),
+  EXPECT_EQ(simba.BuildIndex(CityDataset(20, 11, kShape)).code(),
             Status::Code::kNotSupported);
 }
 
 TEST(DftTest, RejectsUnsupportedDistances) {
   auto cluster = MakeCluster();
   DftEngine dft(cluster, DistanceType::kLCSS);
-  EXPECT_EQ(dft.BuildIndex(CityDataset(20)).code(),
+  EXPECT_EQ(dft.BuildIndex(CityDataset(20, 11, kShape)).code(),
             Status::Code::kNotSupported);
 }
 
 TEST(NaiveTest, SelfJoinMatchesBruteForce) {
-  Dataset ds = CityDataset(80, 29);
+  Dataset ds = CityDataset(80, 29, kShape);
   auto cluster = MakeCluster();
   NaiveEngine naive(cluster, DistanceType::kDTW);
   ASSERT_TRUE(naive.BuildIndex(ds).ok());
@@ -119,7 +110,7 @@ TEST(NaiveTest, SelfJoinMatchesBruteForce) {
 }
 
 TEST(SimbaTest, SelfJoinMatchesDita) {
-  Dataset ds = CityDataset(100, 31);
+  Dataset ds = CityDataset(100, 31, kShape);
   const double tau = 0.02;
 
   auto cluster = MakeCluster();
@@ -146,12 +137,12 @@ TEST(SimbaTest, SelfJoinMatchesDita) {
 
 TEST(VpTreeTest, RequiresMetric) {
   VpTree tree;
-  EXPECT_FALSE(tree.Build(CityDataset(20), DistanceType::kDTW).ok());
-  EXPECT_TRUE(tree.Build(CityDataset(20), DistanceType::kFrechet).ok());
+  EXPECT_FALSE(tree.Build(CityDataset(20, 11, kShape), DistanceType::kDTW).ok());
+  EXPECT_TRUE(tree.Build(CityDataset(20, 11, kShape), DistanceType::kFrechet).ok());
 }
 
 TEST(VpTreeTest, SearchMatchesBruteForceFrechet) {
-  Dataset ds = CityDataset(250, 37);
+  Dataset ds = CityDataset(250, 37, kShape);
   VpTree tree;
   ASSERT_TRUE(tree.Build(ds, DistanceType::kFrechet).ok());
   auto dist = *MakeDistance(DistanceType::kFrechet);
@@ -168,7 +159,7 @@ TEST(VpTreeTest, SearchMatchesBruteForceFrechet) {
 }
 
 TEST(VpTreeTest, TrianglePruningSavesWork) {
-  Dataset ds = CityDataset(400, 43);
+  Dataset ds = CityDataset(400, 43, kShape);
   VpTree tree;
   ASSERT_TRUE(tree.Build(ds, DistanceType::kFrechet).ok());
   VpTree::SearchStats stats;
@@ -179,7 +170,7 @@ TEST(VpTreeTest, TrianglePruningSavesWork) {
 class MbeProperty : public ::testing::TestWithParam<DistanceType> {};
 
 TEST_P(MbeProperty, SearchMatchesBruteForce) {
-  Dataset ds = CityDataset(250, 47);
+  Dataset ds = CityDataset(250, 47, kShape);
   MbeIndex mbe;
   ASSERT_TRUE(mbe.Build(ds, GetParam(), 4).ok());
   auto dist = *MakeDistance(GetParam());
@@ -204,12 +195,12 @@ INSTANTIATE_TEST_SUITE_P(Distances, MbeProperty,
 
 TEST(MbeTest, RejectsBadArgs) {
   MbeIndex mbe;
-  EXPECT_FALSE(mbe.Build(CityDataset(20), DistanceType::kEDR).ok());
-  EXPECT_FALSE(mbe.Build(CityDataset(20), DistanceType::kDTW, 0).ok());
+  EXPECT_FALSE(mbe.Build(CityDataset(20, 11, kShape), DistanceType::kEDR).ok());
+  EXPECT_FALSE(mbe.Build(CityDataset(20, 11, kShape), DistanceType::kDTW, 0).ok());
 }
 
 TEST(CentralizedDitaTest, MatchesBruteForceAndPrunesMore) {
-  Dataset ds = CityDataset(300, 59);
+  Dataset ds = CityDataset(300, 59, kShape);
   DitaConfig config;
   config.build.trie.num_pivots = 4;
   config.build.trie.leaf_capacity = 4;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "workload/generator.h"
+#include "test_data.h"
 
 namespace dita {
 namespace {
@@ -37,18 +38,6 @@ std::shared_ptr<Cluster> MakeCluster(size_t workers = 4) {
   return std::make_shared<Cluster>(cfg);
 }
 
-Dataset CityDataset(size_t n = 400, uint64_t seed = 51) {
-  GeneratorConfig cfg;
-  cfg.cardinality = n;
-  cfg.region = MBR(Point{0, 0}, Point{1, 1});
-  cfg.step = 0.01;
-  cfg.avg_len = 16;
-  cfg.min_len = 4;
-  cfg.max_len = 50;
-  cfg.seed = seed;
-  return GenerateTaxiDataset(cfg);
-}
-
 DitaConfig SmallConfig(DistanceType type = DistanceType::kDTW) {
   DitaConfig config;
   config.build.ng = 3;
@@ -68,7 +57,7 @@ TEST(DitaEngineTest, BuildValidatesInput) {
   DitaConfig config = SmallConfig();
   config.build.ng = 0;
   DitaEngine bad(cluster, config);
-  EXPECT_FALSE(bad.BuildIndex(CityDataset(20)).ok());
+  EXPECT_FALSE(bad.BuildIndex(CityDataset(20, 51)).ok());
 
   DitaEngine engine(cluster, SmallConfig());
   Dataset with_short;
@@ -85,7 +74,7 @@ TEST(DitaEngineTest, SearchBeforeBuildFails) {
 TEST(DitaEngineTest, SearchRejectsBadArgs) {
   auto cluster = MakeCluster();
   DitaEngine engine(cluster, SmallConfig());
-  ASSERT_TRUE(engine.BuildIndex(CityDataset(50)).ok());
+  ASSERT_TRUE(engine.BuildIndex(CityDataset(50, 51)).ok());
   Trajectory q(0, {{0, 0}, {1, 1}});
   EXPECT_FALSE(engine.Search(q, -1.0).ok());
   EXPECT_FALSE(engine.Search(Trajectory(0, {{0, 0}}), 1.0).ok());
@@ -94,7 +83,7 @@ TEST(DitaEngineTest, SearchRejectsBadArgs) {
 TEST(DitaEngineTest, IndexStatsPopulated) {
   auto cluster = MakeCluster();
   DitaEngine engine(cluster, SmallConfig());
-  Dataset ds = CityDataset(300);
+  Dataset ds = CityDataset(300, 51);
   ASSERT_TRUE(engine.BuildIndex(ds).ok());
   const auto& stats = engine.index_stats();
   EXPECT_EQ(stats.num_trajectories, ds.size());
@@ -107,7 +96,7 @@ TEST(DitaEngineTest, IndexStatsPopulated) {
 TEST(DitaEngineTest, ParallelBuildMatchesSerialBuild) {
   // build_threads only changes how construction work is chunked; the index,
   // the simulated cost ledger, and every query answer must be unchanged.
-  Dataset ds = CityDataset(500);
+  Dataset ds = CityDataset(500, 51);
   DitaConfig serial_cfg = SmallConfig();
   DitaEngine serial(MakeCluster(), serial_cfg);
   ASSERT_TRUE(serial.BuildIndex(ds).ok());
@@ -186,7 +175,7 @@ void ExpectSearchMatchesBruteForce(const DitaConfig& config,
 class EngineSearchProperty : public ::testing::TestWithParam<DistanceType> {};
 
 TEST_P(EngineSearchProperty, MatchesBruteForce) {
-  ExpectSearchMatchesBruteForce(SmallConfig(GetParam()), CityDataset(300));
+  ExpectSearchMatchesBruteForce(SmallConfig(GetParam()), CityDataset(300, 51));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDistances, EngineSearchProperty,
@@ -352,7 +341,7 @@ TEST(DitaEngineTest, ParallelVerificationMatchesSerial) {
   // verify_threads fans the surviving DP work of each partition across an
   // engine-local pool; answers must be bit-identical to the serial engine,
   // and the offloaded CPU must land in the owning worker's virtual time.
-  Dataset ds = CityDataset(300);
+  Dataset ds = CityDataset(300, 51);
   auto serial_cluster = MakeCluster();
   DitaEngine serial(serial_cluster, SmallConfig());
   ASSERT_TRUE(serial.BuildIndex(ds).ok());
@@ -380,65 +369,6 @@ TEST(DitaEngineTest, ParallelVerificationMatchesSerial) {
   ASSERT_TRUE(want_join.ok());
   ASSERT_TRUE(got_join.ok());
   EXPECT_EQ(got_join.value(), want_join.value());
-}
-
-TEST(DitaEngineTest, KnnJoinMatchesBruteForce) {
-  auto cluster = MakeCluster();
-  DitaConfig config = SmallConfig();
-  DitaEngine left(cluster, config);
-  DitaEngine right(cluster, config);
-  Dataset ds_l = CityDataset(40, 67);
-  Dataset ds_r = CityDataset(80, 68);
-  ASSERT_TRUE(left.BuildIndex(ds_l).ok());
-  ASSERT_TRUE(right.BuildIndex(ds_r).ok());
-
-  const size_t k = 3;
-  auto got = left.KnnJoin(right, k);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ASSERT_EQ(got->size(), ds_l.size() * k);
-
-  auto dist = *MakeDistance(DistanceType::kDTW);
-  size_t row = 0;
-  std::map<TrajectoryId, const Trajectory*> left_by_id;
-  for (const auto& t : ds_l.trajectories()) left_by_id[t.id()] = &t;
-  TrajectoryId prev_left = -1;
-  for (const auto& r : *got) {
-    EXPECT_GE(r.left, prev_left);
-    prev_left = r.left;
-    ++row;
-  }
-  // Verify distances for a few left trajectories against brute force.
-  for (size_t i = 0; i < 5; ++i) {
-    const Trajectory& q = ds_l[i];
-    std::vector<double> all;
-    for (const auto& t : ds_r.trajectories()) all.push_back(dist->Compute(t, q));
-    std::sort(all.begin(), all.end());
-    size_t idx = 0;
-    for (const auto& r : *got) {
-      if (r.left != q.id()) continue;
-      ASSERT_LT(idx, k);
-      EXPECT_NEAR(r.distance, all[idx], 1e-9) << "left=" << r.left;
-      ++idx;
-    }
-    EXPECT_EQ(idx, k);
-  }
-}
-
-TEST(DitaEngineTest, KnnJoinEdgeCases) {
-  auto cluster = MakeCluster();
-  DitaEngine engine(cluster, SmallConfig());
-  ASSERT_TRUE(engine.BuildIndex(CityDataset(30, 69)).ok());
-  auto zero = engine.KnnJoin(engine, 0);
-  ASSERT_TRUE(zero.ok());
-  EXPECT_TRUE(zero->empty());
-  EXPECT_FALSE(engine.KnnJoin(engine, 31).ok());
-  // Self kNN-join with k = 1 pairs everything with itself at distance 0.
-  auto self = engine.KnnJoin(engine, 1);
-  ASSERT_TRUE(self.ok());
-  for (const auto& r : *self) {
-    EXPECT_EQ(r.left, r.right);
-    EXPECT_DOUBLE_EQ(r.distance, 0.0);
-  }
 }
 
 TEST(DitaEngineTest, KnnEdgeCases) {
@@ -527,8 +457,8 @@ TEST(DitaEngineTest, JoinRequiresSharedCluster) {
 TEST(DitaEngineTest, SearchChargesClusterCosts) {
   auto cluster = MakeCluster();
   DitaEngine engine(cluster, SmallConfig());
-  ASSERT_TRUE(engine.BuildIndex(CityDataset(200)).ok());
-  Trajectory q = CityDataset(200)[0];
+  ASSERT_TRUE(engine.BuildIndex(CityDataset(200, 51)).ok());
+  Trajectory q = CityDataset(200, 51)[0];
   DitaEngine::QueryStats stats;
   ASSERT_TRUE(engine.Search(q, 0.05, &stats).ok());
   EXPECT_GT(stats.makespan_seconds, 0.0);
@@ -538,7 +468,7 @@ TEST(DitaEngineTest, SearchChargesClusterCosts) {
 TEST(DitaEngineTest, JoinShipsBytesAndReportsStats) {
   auto cluster = MakeCluster();
   DitaEngine engine(cluster, SmallConfig());
-  ASSERT_TRUE(engine.BuildIndex(CityDataset(150)).ok());
+  ASSERT_TRUE(engine.BuildIndex(CityDataset(150, 51)).ok());
   DitaEngine::JoinStats stats;
   ASSERT_TRUE(engine.Join(engine, 0.03, &stats).ok());
   EXPECT_GT(stats.makespan_seconds, 0.0);

@@ -16,6 +16,7 @@
 #include "core/knn.h"
 #include "serving/service.h"
 #include "workload/generator.h"
+#include "test_data.h"
 
 namespace dita {
 namespace {
@@ -29,17 +30,7 @@ std::shared_ptr<Cluster> MakeCluster(size_t execution_threads = 0) {
   return std::make_shared<Cluster>(cfg);
 }
 
-Dataset CityDataset(size_t n, uint64_t seed) {
-  GeneratorConfig cfg;
-  cfg.cardinality = n;
-  cfg.region = MBR(Point{0, 0}, Point{1, 1});
-  cfg.step = 0.01;
-  cfg.avg_len = 16;
-  cfg.min_len = 4;
-  cfg.max_len = 40;
-  cfg.seed = seed;
-  return GenerateTaxiDataset(cfg);
-}
+const CityShape kShape{.max_len = 40};
 
 DitaConfig SmallConfig(DistanceType type) {
   DitaConfig config;
@@ -60,7 +51,7 @@ DitaConfig SmallConfig(DistanceType type) {
 /// id (2000 + i): many neighbour distances tie exactly, and the id decides
 /// both ways.
 Dataset TableWithTies(size_t n, uint64_t seed) {
-  const Dataset city = CityDataset(n, seed);
+  const Dataset city = CityDataset(n, seed, kShape);
   std::vector<Trajectory> rows;
   for (size_t i = 0; i < city.size(); ++i) {
     const auto id = static_cast<TrajectoryId>(i);
@@ -87,7 +78,7 @@ Neighbors NaiveTopK(const TrajectoryDistance& dist,
 /// off-table trajectories.
 std::vector<Trajectory> Queries(const Dataset& table) {
   std::vector<Trajectory> qs = {table[0], table[6], table[8]};
-  const Dataset off = CityDataset(2, 977);
+  const Dataset off = CityDataset(2, 977, kShape);
   qs.push_back(off[0]);
   qs.push_back(off[1]);
   return qs;
@@ -159,7 +150,7 @@ void ExpectServiceWithDeltaMatchesNaiveTopK(DitaConfig config) {
   // under a larger id, and fresh trajectories.
   std::vector<Trajectory> inserts = {Trajectory(300, table[6].points()),
                                      Trajectory(3000, table[8].points())};
-  const Dataset fresh = CityDataset(12, 63);
+  const Dataset fresh = CityDataset(12, 63, kShape);
   for (size_t i = 0; i < fresh.size(); ++i) {
     inserts.emplace_back(4000 + static_cast<TrajectoryId>(i),
                          fresh[i].points());
@@ -344,7 +335,7 @@ TEST(KnnOracleStopped, ServiceStoppedSweepIsPrefixOfLiveAnswer) {
   DitaService service(MakeCluster(), config);
   ASSERT_TRUE(service.Start(table).ok());
   ASSERT_TRUE(service.Insert(Trajectory(301, table[9].points())).ok());
-  const Dataset fresh = CityDataset(10, 67);
+  const Dataset fresh = CityDataset(10, 67, kShape);
   for (size_t i = 0; i < fresh.size(); ++i) {
     ASSERT_TRUE(
         service.Insert(Trajectory(5000 + static_cast<TrajectoryId>(i),

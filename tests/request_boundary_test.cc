@@ -16,6 +16,7 @@
 #include "sql/dataframe.h"
 #include "sql/engine.h"
 #include "workload/generator.h"
+#include "test_data.h"
 
 namespace dita {
 namespace {
@@ -35,15 +36,8 @@ DitaConfig SmallConfig() {
   return config;
 }
 
-Dataset CityDataset(size_t n, uint64_t seed) {
-  GeneratorConfig cfg;
-  cfg.cardinality = n;
-  cfg.region = MBR(Point{0, 0}, Point{1, 1});
-  cfg.step = 0.01;
-  cfg.min_len = 4;
-  cfg.seed = seed;
-  return GenerateTaxiDataset(cfg);
-}
+// The generator's own length profile.
+const CityShape kShape{.avg_len = 22, .max_len = 112};
 
 using Named = std::pair<std::string, Trajectory>;
 
@@ -78,7 +72,7 @@ QueryRequest Request(QueryKind kind, Trajectory query, double tau) {
 TEST(RequestBoundaryTest, MalformedInputIsInvalidArgument) {
   const DitaConfig config = SmallConfig();
   const std::shared_ptr<Cluster> cluster = MakeCluster();
-  const Dataset table = CityDataset(60, 68);
+  const Dataset table = CityDataset(60, 68, kShape);
   const Trajectory& good = table[3];
   const std::vector<Named> bad_trajectories = BadTrajectories(good, 9001);
 

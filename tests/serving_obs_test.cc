@@ -22,21 +22,10 @@
 #include "serving/service.h"
 #include "util/query_context.h"
 #include "workload/generator.h"
+#include "test_data.h"
 
 namespace dita {
 namespace {
-
-Dataset CityDataset(size_t n, uint64_t seed) {
-  GeneratorConfig cfg;
-  cfg.cardinality = n;
-  cfg.region = MBR(Point{0, 0}, Point{1, 1});
-  cfg.step = 0.01;
-  cfg.avg_len = 16;
-  cfg.min_len = 4;
-  cfg.max_len = 50;
-  cfg.seed = seed;
-  return GenerateTaxiDataset(cfg);
-}
 
 DitaConfig SmallConfig() {
   DitaConfig config;

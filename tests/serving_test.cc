@@ -16,6 +16,7 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -26,22 +27,10 @@
 #include "serving/service.h"
 #include "util/query_context.h"
 #include "workload/generator.h"
+#include "test_data.h"
 
 namespace dita {
 namespace {
-
-Dataset CityDataset(size_t n, uint64_t seed,
-                    const MBR& region = MBR(Point{0, 0}, Point{1, 1})) {
-  GeneratorConfig cfg;
-  cfg.cardinality = n;
-  cfg.region = region;
-  cfg.step = 0.01;
-  cfg.avg_len = 16;
-  cfg.min_len = 4;
-  cfg.max_len = 50;
-  cfg.seed = seed;
-  return GenerateTaxiDataset(cfg);
-}
 
 DitaConfig SmallConfig() {
   DitaConfig config;
@@ -640,8 +629,11 @@ TEST_F(DitaServiceTest, IngestValidation) {
   ASSERT_TRUE(service.Delete(ds_[0].id()).ok());
   EXPECT_EQ(service.Delete(ds_[0].id()).code(), Status::Code::kNotFound);
 
-  // A deleted base id may be re-inserted (it is no longer live).
+  // A deleted base id may be re-inserted (it is no longer live), and is
+  // then live again: a second insert of it is rejected.
   ASSERT_TRUE(service.Insert(ds_[0]).ok());
+  EXPECT_EQ(service.live_size(), ds_.size());
+  EXPECT_EQ(service.Insert(ds_[0]).code(), Status::Code::kInvalidArgument);
   EXPECT_EQ(service.live_size(), ds_.size());
 }
 
@@ -1049,6 +1041,130 @@ TEST(ServingOracleTest, CrossServiceJoinMatchesBatchEngines) {
 }
 
 // ------------------------------------------------------------------------
+// The write path alone, with no threads and no engine: TableSnapshot::Apply
+// and LiveTrajectories against a std::map model, including an epoch
+// merge's rebuild of the base from the live set and its replay of the
+// writes that raced the rebuild.
+// ------------------------------------------------------------------------
+
+using LiveModel = std::map<TrajectoryId, std::vector<Point>>;
+
+/// A snapshot whose base holds `data`, with an empty delta and no engine.
+TableSnapshot BaseOnly(std::vector<Trajectory> data) {
+  TableSnapshot snap;
+  auto ids = std::make_shared<std::unordered_set<TrajectoryId>>();
+  for (const Trajectory& t : data) ids->insert(t.id());
+  snap.base_data =
+      std::make_shared<const std::vector<Trajectory>>(std::move(data));
+  snap.base_ids = std::move(ids);
+  return snap;
+}
+
+/// The snapshot's live set, after checking the delta invariants that
+/// snapshot.h states.
+LiveModel LiveOf(const TableSnapshot& snap) {
+  for (TrajectoryId id : snap.deleted) {
+    EXPECT_TRUE(snap.InBase(id)) << "deleted id " << id << " not in base";
+  }
+  LiveModel live;
+  for (const Trajectory& t : snap.LiveTrajectories()) {
+    EXPECT_TRUE(live.emplace(t.id(), t.points()).second)
+        << "id " << t.id() << " is live twice";
+  }
+  EXPECT_EQ(live.size(), snap.live_size());
+  return live;
+}
+
+TEST(ServingWritePathTest, RandomOpsMatchMapModelAcrossRebuildAndReplay) {
+  const Dataset base = CityDataset(24, 71);
+  const Dataset pool = CityDataset(200, 72);
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    const auto pick = [&rng](const std::vector<TrajectoryId>& ids) {
+      return ids[rng() % ids.size()];
+    };
+
+    // Draw the op sequence against the model, recording each op's expected
+    // status and the live set after it.
+    LiveModel model;
+    for (const Trajectory& t : base.trajectories()) model[t.id()] = t.points();
+    std::vector<TrajectoryId> dead_ids;  // ever live, not live now
+    std::vector<WriteOp> ops;
+    std::vector<Status::Code> want_code;
+    std::vector<LiveModel> want_live;
+    size_t next_pool = 0;
+    for (int i = 0; i < 60; ++i) {
+      std::vector<TrajectoryId> live_base, live_new;
+      for (const auto& [id, _] : model) {
+        (id < TrajectoryId(base.size()) ? live_base : live_new).push_back(id);
+      }
+      const Trajectory& geometry = pool[next_pool++ % pool.size()];
+      WriteOp op;
+      switch (rng() % 6) {
+        case 0:  // insert a fresh id
+          op = WriteOp{true, WithId(geometry, TrajectoryId(1000 + i)), -1};
+          break;
+        case 1:  // delete a live insert (pending, or folded by a rebuild)
+          op = live_new.empty()
+                   ? WriteOp{true, WithId(geometry, TrajectoryId(1000 + i)), -1}
+                   : WriteOp{false, Trajectory(), pick(live_new)};
+          break;
+        case 2:  // delete a live id of the starting base
+          op = live_base.empty()
+                   ? WriteOp{false, Trajectory(), TrajectoryId(5000 + i)}
+                   : WriteOp{false, Trajectory(), pick(live_base)};
+          break;
+        case 3:  // re-insert a deleted id, with new geometry
+          op = dead_ids.empty()
+                   ? WriteOp{true, WithId(geometry, TrajectoryId(1000 + i)), -1}
+                   : WriteOp{true, WithId(geometry, pick(dead_ids)), -1};
+          break;
+        case 4:  // invalid: insert an id that is live
+          op = WriteOp{true,
+                       WithId(geometry, model.empty()
+                                            ? TrajectoryId(1000 + i)
+                                            : model.begin()->first),
+                       -1};
+          break;
+        default:  // invalid: delete an id that is not live
+          op = WriteOp{false, Trajectory(),
+                       dead_ids.empty() || rng() % 2 == 0
+                           ? TrajectoryId(5000 + i)
+                           : pick(dead_ids)};
+          break;
+      }
+      if (op.is_insert) {
+        const bool ok = model.emplace(op.insert.id(), op.insert.points()).second;
+        want_code.push_back(ok ? Status::Code::kOk
+                               : Status::Code::kInvalidArgument);
+        if (ok) std::erase(dead_ids, op.insert.id());
+      } else {
+        const bool ok = model.erase(op.erase) > 0;
+        want_code.push_back(ok ? Status::Code::kOk : Status::Code::kNotFound);
+        if (ok) dead_ids.push_back(op.erase);
+      }
+      ops.push_back(std::move(op));
+      want_live.push_back(model);
+    }
+
+    // Without a split, and with a rebuild of the base from the live set
+    // at a random op, after which the remaining ops replay on the new base.
+    const size_t split = rng() % (ops.size() + 1);
+    for (const bool rebuild : {false, true}) {
+      SCOPED_TRACE(rebuild ? "rebuilt at op " + std::to_string(split)
+                           : std::string("no rebuild"));
+      TableSnapshot snap = BaseOnly(base.trajectories());
+      for (size_t i = 0; i < ops.size(); ++i) {
+        if (rebuild && i == split) snap = BaseOnly(snap.LiveTrajectories());
+        EXPECT_EQ(snap.Apply(ops[i]).code(), want_code[i]) << "op " << i;
+        EXPECT_EQ(LiveOf(snap), want_live[i]) << "after op " << i;
+      }
+    }
+  }
+}
+
+// ------------------------------------------------------------------------
 // Concurrent soak (the TSan target): ingest, background epoch merges, and
 // queries race freely; snapshot pinning keeps every answer consistent.
 // ------------------------------------------------------------------------
@@ -1059,7 +1175,7 @@ TEST(ServingSoakTest, ConcurrentIngestMergesAndQueriesStayExact) {
   // version-independent: whatever snapshot a query pins, its answer must
   // equal the batch answer on the untouched base.
   const Dataset far =
-      CityDataset(64, 58, MBR(Point{10, 10}, Point{11, 11}));
+      CityDataset(64, 58, {.region = MBR(Point{10, 10}, Point{11, 11})});
   auto cluster = MakeCluster();
   DitaConfig config = SmallConfig();
   config.serving.merge_threshold = 24;  // background merges fire mid-run
@@ -1067,19 +1183,36 @@ TEST(ServingSoakTest, ConcurrentIngestMergesAndQueriesStayExact) {
   DitaService service(cluster, config);
   ASSERT_TRUE(service.Start(base).ok());
 
+  // Searches and k = 5 kNN reads: the far region is too far away to enter
+  // a base-region query's five nearest neighbours.
   constexpr size_t kQueries = 8;
-  std::vector<std::vector<TrajectoryId>> expected(kQueries);
-  for (size_t i = 0; i < kQueries; ++i) {
+  const auto request = [&base](size_t qi, bool knn) {
     QueryRequest req;
-    req.kind = QueryKind::kSearch;
-    req.query = base[i * 11];
-    req.tau = 0.05;
-    auto r = service.Execute(req);
+    req.query = base[qi * 11];
+    if (knn) {
+      req.kind = QueryKind::kKnnSearch;
+      req.k = 5;
+    } else {
+      req.kind = QueryKind::kSearch;
+      req.tau = 0.05;
+    }
+    return req;
+  };
+  std::vector<std::vector<TrajectoryId>> expected(kQueries);
+  std::vector<std::vector<std::pair<TrajectoryId, double>>> expected_knn(
+      kQueries);
+  for (size_t i = 0; i < kQueries; ++i) {
+    auto r = service.Execute(request(i, false));
     ASSERT_TRUE(r.ok());
     expected[i] = r->ids;
+    auto n = service.Execute(request(i, true));
+    ASSERT_TRUE(n.ok());
+    ASSERT_EQ(n->neighbors.size(), 5u);
+    expected_knn[i] = n->neighbors;
   }
 
   std::atomic<bool> failed{false};
+  std::atomic<bool> join_failed{false};
   std::thread writer([&] {
     for (size_t i = 0; i < far.size(); ++i) {
       const Trajectory t = WithId(far[i], TrajectoryId(50000 + i));
@@ -1095,26 +1228,39 @@ TEST(ServingSoakTest, ConcurrentIngestMergesAndQueriesStayExact) {
       if (!service.ForceMerge().ok()) failed = true;
     }
   });
+  // A low-priority bulk self-join submitted mid-run shares the scheduler
+  // with the reads and must still complete.
+  std::thread joiner([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    QueryRequest req;
+    req.kind = QueryKind::kJoin;
+    req.tau = 0.05;
+    req.priority = 2;
+    if (!service.Submit(req).get().ok()) join_failed = true;
+  });
   std::vector<std::thread> readers;
   for (int r = 0; r < 3; ++r) {
     readers.emplace_back([&, r] {
       for (int i = 0; i < 24; ++i) {
         const size_t qi = size_t(r * 7 + i) % kQueries;
-        QueryRequest req;
-        req.kind = QueryKind::kSearch;
-        req.query = base[qi * 11];
-        req.tau = 0.05;
+        const bool knn = i % 3 == 1;
+        const QueryRequest req = request(qi, knn);
         // Alternate sync and async paths so the executor pool races too.
         auto res = (i % 4 == 3) ? service.Submit(req).get()
                                 : service.Execute(req);
-        if (!res.ok() || res->ids != expected[qi]) failed = true;
+        if (!res.ok() || (knn ? res->neighbors != expected_knn[qi]
+                              : res->ids != expected[qi])) {
+          failed = true;
+        }
       }
     });
   }
   writer.join();
   merger.join();
+  joiner.join();
   for (auto& t : readers) t.join();
   EXPECT_FALSE(failed.load());
+  EXPECT_FALSE(join_failed.load());
 
   // Settle: fold the remaining delta and re-check against a batch oracle
   // over the final live set.
@@ -1122,14 +1268,29 @@ TEST(ServingSoakTest, ConcurrentIngestMergesAndQueriesStayExact) {
   EXPECT_GE(service.merges(), 1u);
   EXPECT_EQ(service.delta_ops(), 0u);
   for (size_t i = 0; i < kQueries; ++i) {
-    QueryRequest req;
-    req.kind = QueryKind::kSearch;
-    req.query = base[i * 11];
-    req.tau = 0.05;
-    auto r = service.Execute(req);
+    auto r = service.Execute(request(i, false));
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r->ids, expected[i]) << "query " << i << " after final merge";
   }
+
+  // The settled self-join equals a fresh batch engine's on the live set the
+  // writer left: the base plus every far insert it did not delete again.
+  std::vector<Trajectory> live = base.trajectories();
+  for (size_t i = 0; i < far.size(); ++i) {
+    const bool deleted = i + 5 < far.size() && (i + 5) % 3 == 0;
+    if (!deleted) live.push_back(WithId(far[i], TrajectoryId(50000 + i)));
+  }
+  EXPECT_EQ(service.live_size(), live.size());
+  QueryRequest join;
+  join.kind = QueryKind::kJoin;
+  join.tau = 0.05;
+  auto served = service.Execute(join);
+  ASSERT_TRUE(served.ok());
+  DitaEngine batch(cluster, SmallConfig());
+  ASSERT_TRUE(batch.BuildIndex(Dataset(live)).ok());
+  auto oracle = batch.Join(batch, 0.05);
+  ASSERT_TRUE(oracle.ok());
+  EXPECT_EQ(Sorted(served->pairs), Sorted(*oracle));
   service.Stop();
 }
 

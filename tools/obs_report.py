@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Render a DitaService flight-recorder dump into a terminal SLO report.
 
-Input: the JSON written by DitaService::DumpFlightRecorder() (also exported
-by `bench_serving` as BENCH_serving_flight.json and by `serving_demo
---obs-export=DIR`). Stdlib-only, like the rest of tools/.
+Input: the JSON written by DitaService::DumpFlightRecorder(), for example
+PREFIX_flight.json from `serving_demo --obs-export=PREFIX`. Stdlib-only,
+like the rest of tools/.
 
 Sections:
   * per-kind latency: p50/p95/p99/p999 upper bounds from the service's
