@@ -130,13 +130,14 @@ CacheResult RunCache(const bench::Args& args) {
 }
 
 /// Observability overhead A/B: an identical closed-loop read workload
-/// against a service with the full observability plane on (registry
-/// metrics + a large flight recorder) and one with it off (metrics
-/// disabled, recorder capacity 0 — the lifecycle stamping itself cannot be
-/// turned off and is charged to both sides). Tracing is excluded: its
-/// global span mutex is a known serializer and it is a debugging tool, not
-/// a production default (DESIGN.md §5h). Target: overhead < 3% (reported,
-/// not gated).
+/// against a service with everything that is on by default (registry
+/// metrics, a large flight recorder, and per-query stats with the EXPLAIN
+/// record, i.e. QueryRequest::collect_stats) and one with all of it off
+/// (metrics disabled, recorder capacity 0, collect_stats false — the
+/// lifecycle stamping itself cannot be turned off and is charged to both
+/// sides). Tracing is excluded: its global span mutex is a known
+/// serializer and it is a debugging tool, not a production default
+/// (DESIGN.md §5h). The overhead is reported, not gated.
 struct ObsOverheadResult {
   double off_qps = 0.0;
   double on_qps = 0.0;
@@ -153,6 +154,7 @@ ObsOverheadResult RunObsOverhead(const bench::Args& args) {
   constexpr size_t kProbes = 16;
 
   struct Mode {
+    bool obs_on = false;
     std::shared_ptr<Cluster> cluster;
     std::unique_ptr<DitaService> service;
     std::vector<const Trajectory*> probes;
@@ -160,6 +162,7 @@ ObsOverheadResult RunObsOverhead(const bench::Args& args) {
   };
   auto make_mode = [&](bool obs_on) -> Mode {
     Mode m;
+    m.obs_on = obs_on;
     DitaConfig config = bench::DefaultConfig();
     config.enable_metrics = obs_on;
     config.serving.flight_recorder_entries = obs_on ? 1024 : 0;
@@ -190,6 +193,7 @@ ObsOverheadResult RunObsOverhead(const bench::Args& args) {
       req.kind = QueryKind::kSearch;
       req.query = *m.probes[pi];
       req.tau = tau;
+      req.collect_stats = m.obs_on;
       auto r = m.service->Execute(req);
       ++done;
       if (!r.ok() || r->ids != m.expect[pi]) ++*wrong;
@@ -202,9 +206,8 @@ ObsOverheadResult RunObsOverhead(const bench::Args& args) {
   // *paired* overhead sample, so drift that is slow against a rep —
   // allocator state, frequency scaling, a noisy neighbor's burst — hits
   // both sides of the ratio and cancels. The reported numbers are medians
-  // over reps: the true per-request delta (a few relaxed atomic bumps plus
-  // one seqlock ring write) is far below single-window noise, and a mean
-  // or best-of lets one burst-hit window swing the verdict past the gate.
+  // over reps, so a mean or best-of cannot let one burst-hit window swing
+  // the figure.
   const int reps = args.quick ? 7 : 15;
   Mode off = make_mode(false);
   Mode on = make_mode(true);

@@ -62,7 +62,7 @@ native_filter='Oracle|ThresholdEdge|DpScratch|Dtw|Frechet|Edr|Lcss|Erp|Distance|
 # (FlatTrie/FlatStrTile), batched parallel verification, and the cluster
 # runtime's threaded stages, including the kNN sweep's shared k-th bound
 # (KnnOracleThreaded runs its partition tasks on four threads).
-tsan_filter='ThreadPool|FlatTrie|FlatRTree|FlatStrTile|StrTile|Verif|Cluster|Engine|FaultTolerance|Partition|Obs|Logging|FlightRecorder|Cancellation|AdmissionGate|ChaosSoak|Serving|QueryScheduler|DitaService|AnswerCache|KnnOracle|RequestBoundary'
+tsan_filter='ThreadPool|FlatTrie|FlatRTree|FlatStrTile|StrTile|Verif|Cluster|Engine|FaultTolerance|Partition|Obs|Logging|FlightRecorder|Cancellation|ChaosSoak|Serving|QueryScheduler|DitaService|AnswerCache|KnnOracle|RequestBoundary'
 
 # The chaos pass: the seeded chaos/soak harness (fault injection + random
 # mid-flight cancellation + tight budgets + DitaService's scheduler) plus
@@ -72,7 +72,7 @@ tsan_filter='ThreadPool|FlatTrie|FlatRTree|FlatStrTile|StrTile|Verif|Cluster|Eng
 # scheduler queue) across the fixed seed matrix baked into
 # chaos_soak_test.cc, plus the kNN oracle's stopped-sweep prefix cases and
 # the malformed-input cases of the request boundary.
-chaos_filter='ChaosSoak|Cancellation|AdmissionGate|QueryScheduler|KnnOracle|RequestBoundary'
+chaos_filter='ChaosSoak|Cancellation|QueryScheduler|KnnOracle|RequestBoundary'
 
 # The obs pass: exporter schema validation (obs_demo_schema runs the demo
 # with tracing and re-validates its Chrome trace, now including the serving

@@ -14,7 +14,7 @@ namespace {
 // Per-thread ledger of helper-thread CPU charged to the task currently
 // running on this thread (Cluster::ChargeCurrentTask). ExecuteTasks zeroes
 // it before each task body and folds it into the task's measured seconds
-// after, so retries/speculation/deadlines all see the inflated runtime.
+// after, so retries and speculation both see the inflated runtime.
 thread_local double t_task_offloaded_seconds = 0.0;
 }  // namespace
 
@@ -56,7 +56,6 @@ obs::MetricsRegistry* Cluster::EnableMetrics() {
     m_worker_crashes_ = {m, "cluster.worker.crashes"};
     m_spec_launches_ = {m, "cluster.speculative.launches"};
     m_bytes_shipped_ = {m, "cluster.bytes_shipped"};
-    m_deadline_misses_ = {m, "cluster.stage.deadline_misses"};
   }
   return metrics_.get();
 }
@@ -140,7 +139,7 @@ void Cluster::RecordTransferLocked(size_t from, size_t to, uint64_t bytes) {
       static_cast<double>(bytes) / config_.bandwidth_bytes_per_sec;
 }
 
-size_t Cluster::RecoverTaskLocked(size_t from, uint64_t input_bytes) {
+size_t Cluster::RecoverTaskLocked(uint64_t input_bytes) {
   const size_t to = LeastLoadedLiveLocked(config_.num_workers);
   if (to == config_.num_workers) return to;  // nobody left
   ++fault_stats_.tasks_reassigned;
@@ -159,19 +158,16 @@ size_t Cluster::RecoverTaskLocked(size_t from, uint64_t input_bytes) {
     }
     fault_stats_.recovery_bytes += input_bytes;
   }
-  (void)from;
   return to;
 }
 
-Status Cluster::RunStage(std::vector<Task> tasks, const StageOptions& options,
-                         std::vector<uint8_t>* kept) {
+Status Cluster::RunStage(std::vector<Task> tasks, const StageOptions& options) {
   for (const Task& t : tasks) {
     if (t.worker >= config_.num_workers) {
       return Status::InvalidArgument("task bound to nonexistent worker");
     }
     if (!t.fn) return Status::InvalidArgument("task without a function");
   }
-  if (kept != nullptr) kept->assign(tasks.size(), 0);
 
   // The stage span wraps both passes, so task / retry / backup spans nest
   // inside it by tick containment.
@@ -194,11 +190,6 @@ Status Cluster::RunStage(std::vector<Task> tasks, const StageOptions& options,
   std::lock_guard<std::mutex> lock(mu_);
   const uint64_t stage = stages_run_++;
   stage_span.Arg("stage", stage);
-
-  std::vector<double> start_totals(config_.num_workers);
-  for (size_t w = 0; w < config_.num_workers; ++w) {
-    start_totals[w] = stats_[w].TotalSeconds();
-  }
 
   // Permanent worker crash: fires as the stage starts, so this stage's
   // tasks on the victim are lost mid-flight and recovered on survivors.
@@ -227,7 +218,7 @@ Status Cluster::RunStage(std::vector<Task> tasks, const StageOptions& options,
     size_t w = tasks[i].worker;
     if (runs[i].skipped) {
       // Never executed (query stopped first): no attempts, no retries, no
-      // recovery, no speculation, zero virtual time. kept stays 0.
+      // recovery, no speculation, zero virtual time.
       owners[i] = w;
       runtimes[i] = 0.0;
       continue;
@@ -240,7 +231,7 @@ Status Cluster::RunStage(std::vector<Task> tasks, const StageOptions& options,
         stats_[w].compute_seconds +=
             injector_->LostWorkFraction(stage, i, 0) * runs[i].seconds;
       }
-      const size_t recovered = RecoverTaskLocked(w, tasks[i].input_bytes);
+      const size_t recovered = RecoverTaskLocked(tasks[i].input_bytes);
       if (recovered == config_.num_workers) {
         return Status::Unavailable("no live worker to recover task in stage " +
                                    options.name);
@@ -327,14 +318,6 @@ Status Cluster::RunStage(std::vector<Task> tasks, const StageOptions& options,
         const double winner = std::min(runtimes[i], backup_runtime);
         stats_[owners[i]].compute_seconds += winner;
         stats_[backup].compute_seconds += winner;
-        if (kept != nullptr) {
-          const double done =
-              stats_[owners[i]].TotalSeconds() - start_totals[owners[i]];
-          (*kept)[i] = (options.deadline_seconds <= 0.0 ||
-                        done <= options.deadline_seconds)
-                           ? 1
-                           : 0;
-        }
       }
     }
   }
@@ -342,43 +325,14 @@ Status Cluster::RunStage(std::vector<Task> tasks, const StageOptions& options,
     if (speculated[i]) continue;
     if (runs[i].skipped) continue;
     stats_[owners[i]].compute_seconds += runtimes[i];
-    if (kept != nullptr) {
-      // Deterministic deadline semantics: a task's output is kept iff its
-      // owner's cumulative stage time when the task finished charging still
-      // fit the deadline. Workers charge in task-index order, so the kept
-      // set is a per-worker prefix — "completed outputs kept, in-flight
-      // dropped" — and is identical on every run.
-      const double done =
-          stats_[owners[i]].TotalSeconds() - start_totals[owners[i]];
-      (*kept)[i] =
-          (options.deadline_seconds <= 0.0 || done <= options.deadline_seconds)
-              ? 1
-              : 0;
-    }
   }
 
   if (!app_error.ok()) return app_error;
 
   if (options.ctx != nullptr && options.ctx->stopped()) {
     // The query's own token stopped the stage; its cause (cancel, deadline,
-    // budget) outranks the stage deadline below — the caller decides how to
-    // degrade based on it.
+    // budget) tells the caller how to degrade.
     return options.ctx->ToStatus();
-  }
-
-  if (options.deadline_seconds > 0.0) {
-    double stage_makespan = 0.0;
-    for (size_t w = 0; w < config_.num_workers; ++w) {
-      stage_makespan =
-          std::max(stage_makespan, stats_[w].TotalSeconds() - start_totals[w]);
-    }
-    if (stage_makespan > options.deadline_seconds) {
-      ++fault_stats_.deadline_misses;
-      m_deadline_misses_.Increment();
-      return Status::DeadlineExceeded(
-          "stage " + (options.name.empty() ? "<unnamed>" : options.name) +
-          " missed its deadline");
-    }
   }
   return Status::OK();
 }
@@ -499,7 +453,6 @@ FaultStats Cluster::FaultsSince(const CostSnapshot& snap) const {
   d.backoff_seconds = a.backoff_seconds - b.backoff_seconds;
   d.speculative_launches = a.speculative_launches - b.speculative_launches;
   d.speculative_wins = a.speculative_wins - b.speculative_wins;
-  d.deadline_misses = a.deadline_misses - b.deadline_misses;
   return d;
 }
 

@@ -63,8 +63,6 @@ struct FaultStats {
   /// Speculative backup tasks launched / backups that beat the original.
   uint64_t speculative_launches = 0;
   uint64_t speculative_wins = 0;
-  /// Stages that exceeded their deadline.
-  uint64_t deadline_misses = 0;
 };
 
 /// Configuration of the simulated cluster.
@@ -77,7 +75,8 @@ struct ClusterConfig {
   /// models the paper's Gigabit Ethernet (~125 MB/s).
   double bandwidth_bytes_per_sec = 125e6;
   /// Real execution threads used to run tasks; accounting is independent of
-  /// this. 0 means one thread (the host here is single-core anyway).
+  /// this, so answers and virtual times do not depend on it. 0 means one
+  /// thread.
   size_t execution_threads = 0;
 
   /// Fault-handling policy (mirrors Spark's spark.task.maxFailures and
@@ -96,13 +95,8 @@ struct ClusterConfig {
 
 /// Per-stage execution options.
 struct StageOptions {
-  /// Stage label used in error messages.
+  /// Stage label used in error messages and trace spans.
   std::string name;
-  /// Virtual-time budget for the stage: if the slowest worker's virtual
-  /// time charged by this stage exceeds the deadline, RunStage returns
-  /// Status::DeadlineExceeded (results may be partially recorded). 0 means
-  /// no deadline.
-  double deadline_seconds = 0.0;
   /// Optional cooperative stop token for the query this stage belongs to.
   /// Once it reads stopped, task bodies that have not started yet are
   /// skipped (their TaskRun is marked skipped, no virtual time charged,
@@ -174,30 +168,20 @@ class Cluster {
   obs::MetricsRegistry* metrics() const { return metrics_.get(); }
 
   /// Executes all tasks (possibly concurrently), charging each task's CPU
-  /// time to its worker. Returns after every task completes. Tasks must not
-  /// touch shared mutable state without their own synchronization.
+  /// time to its worker. Returns after every task completes or is skipped.
+  /// Tasks must not touch shared mutable state without their own
+  /// synchronization.
   ///
   /// With faults injected, failed attempts are retried with capped
   /// exponential backoff, tasks on crashed workers are recovered on
   /// survivors (recomputation time plus `input_bytes` re-shipped), and
   /// stragglers may be speculatively duplicated. If every worker a stage
-  /// needs is dead, returns Status::Unavailable; if the stage blows its
-  /// StageOptions deadline, returns Status::DeadlineExceeded.
-  /// With `kept` non-null, its i-th element is set to 1 iff task i's output
-  /// is part of the stage's deterministic result state: the task actually
-  /// ran (was not skipped after a cooperative stop) and — when the stage has
-  /// a deadline — its owner's cumulative stage virtual time at the moment
-  /// the task's runtime was charged still fit the deadline. Callers use this
-  /// to keep completed tasks' outputs and drop in-flight ones when a stage
-  /// is cut short; without a deadline or stop every entry is 1.
-  Status RunStage(std::vector<Task> tasks, const StageOptions& options,
-                  std::vector<uint8_t>* kept);
-  Status RunStage(std::vector<Task> tasks, const StageOptions& options) {
-    return RunStage(std::move(tasks), options, nullptr);
-  }
-  Status RunStage(std::vector<Task> tasks) {
-    return RunStage(std::move(tasks), StageOptions{}, nullptr);
-  }
+  /// needs is dead, returns Status::Unavailable. Once `options.ctx` reads
+  /// stopped, task bodies not yet started are skipped and the stage returns
+  /// the context's status; a skipped body never runs, so a caller tells
+  /// which outputs to keep from what the bodies themselves recorded (a
+  /// completion flag set as the body's last step).
+  Status RunStage(std::vector<Task> tasks, const StageOptions& options = {});
 
   /// Adds CPU seconds to the cluster task currently executing on this
   /// thread. Task bodies that offload work to helper threads (e.g. batched
@@ -298,10 +282,10 @@ class Cluster {
   /// no live worker qualifies. Caller holds mu_.
   size_t LeastLoadedLiveLocked(size_t exclude) const;
 
-  /// Moves a task off dead worker `from`: picks a survivor, charges the
+  /// Moves a task off its dead worker: picks a survivor, charges the
   /// lineage re-shipping of `input_bytes` from a live peer, and bumps the
   /// recovery counters. Returns the new owner. Caller holds mu_.
-  size_t RecoverTaskLocked(size_t from, uint64_t input_bytes);
+  size_t RecoverTaskLocked(uint64_t input_bytes);
 
   /// Charges a cross-worker transfer. Caller holds mu_.
   void RecordTransferLocked(size_t from, size_t to, uint64_t bytes);
@@ -322,7 +306,6 @@ class Cluster {
   obs::CounterHandle m_worker_crashes_;
   obs::CounterHandle m_spec_launches_;
   obs::CounterHandle m_bytes_shipped_;
-  obs::CounterHandle m_deadline_misses_;
   mutable std::mutex mu_;
 };
 

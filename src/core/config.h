@@ -74,10 +74,10 @@ struct DitaConfig {
     bool enable_cell = false;
   };
 
-  /// Long-lived serving runtime knobs: the cluster stage deadline every
-  /// engine honours, and — through DitaService — admission by the
-  /// fair-share QueryScheduler, streaming ingest, background epoch merges
-  /// and the answer cache. The bare engine has no admission control.
+  /// DitaService's serving runtime knobs: admission by the fair-share
+  /// QueryScheduler, streaming ingest, background epoch merges and the
+  /// answer cache. The bare engine has no admission control; a query's
+  /// time limits (wall and virtual deadlines) travel on its QueryContext.
   struct ServingOptions {
     /// DitaService scheduler bounds: at most `max_inflight_queries`
     /// queries run concurrently (0 defaults to the scheduler's slot count);
@@ -88,12 +88,6 @@ struct DitaConfig {
     size_t max_inflight_queries = 0;
     size_t max_queued_queries = 0;
 
-    /// Virtual-time budget per cluster stage (search probes, join
-    /// ship/probe, index build). A stage whose slowest worker exceeds it
-    /// surfaces Status::DeadlineExceeded instead of an open-ended wait.
-    /// 0 disables.
-    double stage_deadline_seconds = 0.0;
-
     /// DitaService scheduler: fair-share worker slots carved across
     /// concurrent queries (each query holds EstimateQueryCost slots while
     /// it runs). 0 defaults to the cluster's worker count.
@@ -102,11 +96,6 @@ struct DitaConfig {
     /// Threads executing queries submitted asynchronously via
     /// DitaService::Submit.
     size_t scheduler_threads = 2;
-
-    /// How many times a small query may bypass a larger one stuck at the
-    /// head of the scheduler queue before the large query's turn
-    /// becomes mandatory (starvation bound).
-    size_t max_bypass = 16;
 
     /// Streaming ingest: once a snapshot's delta (inserts + deletes since
     /// the last base rebuild) reaches this many operations, an epoch merge

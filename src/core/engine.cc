@@ -361,7 +361,8 @@ Status DitaEngine::BuildIndex(const Dataset& data) {
            return Status::OK();
          }});
   }
-  DITA_RETURN_IF_ERROR(cluster_->RunStage(std::move(tasks), StageOpts("build")));
+  DITA_RETURN_IF_ERROR(
+      cluster_->RunStage(std::move(tasks), StageOptions{"build"}));
 
   // Driver builds the global index over the partition summaries.
   CpuTimer driver_timer;
@@ -539,9 +540,8 @@ Result<std::vector<TrajectoryId>> DitaEngine::SearchImpl(
                      },
                      part->data_bytes});
   }
-  std::vector<uint8_t> kept;
   const Status stage =
-      cluster_->RunStage(std::move(tasks), StageOpts("search", ctx), &kept);
+      cluster_->RunStage(std::move(tasks), StageOptions{"search", ctx});
   if (ctx != nullptr) ctx->ObserveVirtualSeconds(cluster_->MakespanSince(snap));
   const bool degraded = !stage.ok() && ShouldDegrade(ctx, stage);
   if (!stage.ok() && !degraded) return stage;
@@ -550,14 +550,11 @@ Result<std::vector<TrajectoryId>> DitaEngine::SearchImpl(
     if (tracer_ != nullptr) tracer_->Instant("query.degraded");
   }
 
-  // Merge the surviving tasks' slots. A complete query merges everything
-  // (kept is all-ones and every slot is complete), so this is the same
-  // result as the pre-slot merge.
+  // Merge the completed tasks' slots. A skipped task never set its slot's
+  // `complete`, and a complete query merges every slot.
   std::vector<const SearchLocalOut*> slots(relevant.size(), nullptr);
   for (size_t idx = 0; idx < relevant.size(); ++idx) {
-    if ((kept.empty() || kept[idx]) && outs[idx].complete) {
-      slots[idx] = &outs[idx];
-    }
+    if (outs[idx].complete) slots[idx] = &outs[idx];
   }
   size_t total_candidates = 0;
   std::vector<TrajectoryId> results =
@@ -743,7 +740,8 @@ Result<std::vector<KnnNeighbor>> DitaEngine::KnnSearchImpl(
 
   // Runs the sweep over visit positions [lo, hi) as one cluster stage, so
   // makespan, faults and cancellation are accounted as for any stage. A
-  // task the stage did not keep counts as unfinished.
+  // task the stage skipped never set its visit's `complete`, so it counts
+  // as unfinished.
   const auto run_stage = [&](size_t lo, size_t hi, const char* name) {
     std::vector<Cluster::Task> tasks;
     tasks.reserve(hi - lo);
@@ -756,16 +754,12 @@ Result<std::vector<KnnNeighbor>> DitaEngine::KnnSearchImpl(
                        },
                        part.data_bytes});
     }
-    std::vector<uint8_t> kept;
     const Status stage =
-        cluster_->RunStage(std::move(tasks), StageOpts(name, ctx), &kept);
+        cluster_->RunStage(std::move(tasks), StageOptions{name, ctx});
     if (ctx != nullptr) {
       ctx->ObserveVirtualSeconds(cluster_->MakespanSince(snap));
     }
     if (!stage.ok() && !ShouldDegrade(ctx, stage)) return stage;
-    for (size_t i = 0; i < kept.size(); ++i) {
-      if (kept[i] == 0) visits[lo + i].complete = false;
-    }
     return Status::OK();
   };
 

@@ -293,13 +293,13 @@ class DitaEngine {
     size_t candidates = 0;
     VerifyStats vstats;
     TrieIndex::ProbeStats pstats;
-    /// Set at the end of the task body; false when the task was cut short
-    /// mid-filter (its partial output must be discarded).
+    /// Set at the end of the task body; false when the task was skipped or
+    /// cut short mid-filter (its partial output must be discarded).
     bool complete = false;
   };
 
   /// Merges one query's surviving per-partition slots (`slots` parallel to
-  /// `relevant`; null entries were dropped or incomplete), folds the
+  /// `relevant`; null entries were incomplete), folds the
   /// aggregated counters into the metrics registry, fills `stats`
   /// (termination, completeness, filter funnel) when requested, and returns
   /// the sorted result ids.
@@ -344,13 +344,6 @@ class DitaEngine {
   double PartitionLowerBound(const Trajectory& q, uint32_t partition) const;
   std::vector<uint32_t> RelevantPartitions(const Trajectory& q,
                                            double tau) const;
-
-  /// Stage options carrying the engine's configured deadline and the
-  /// query's stop token (may be null).
-  StageOptions StageOpts(std::string name, QueryContext* ctx = nullptr) const {
-    return StageOptions{std::move(name),
-                        config_.serving.stage_deadline_seconds, ctx};
-  }
 
   /// True when a stage status should degrade into a partial OK result:
   /// the query's own context stopped and the stage failed for that reason

@@ -406,10 +406,9 @@ JoinPlanner::Execute(DitaEngine::JoinStats* stats) {
                           },
                           src_bytes});
   }
-  std::vector<uint8_t> kept_ship;
   {
     const Status ship_status = cluster_.RunStage(
-        std::move(ship_tasks), left_.StageOpts("join-ship", ctx_), &kept_ship);
+        std::move(ship_tasks), StageOptions{"join-ship", ctx_});
     if (ctx_ != nullptr) {
       ctx_->ObserveVirtualSeconds(cluster_.MakespanSince(snap_));
     }
@@ -418,15 +417,14 @@ JoinPlanner::Execute(DitaEngine::JoinStats* stats) {
     }
   }
 
-  // Stage 2: target-side local joins, over the edges whose ship completed.
-  // Each probe task writes only its own slot so a stopped join merges
-  // exactly the edges that ran to completion.
+  // Stage 2: target-side local joins, over the edges whose ship completed
+  // (a skipped ship task never set `ship_complete`). Each probe task writes
+  // only its own slot so a stopped join merges exactly the edges that ran
+  // to completion.
   std::vector<size_t> eligible;
   eligible.reserve(plans.size());
   for (size_t i = 0; i < plans.size(); ++i) {
-    if (!kept_ship.empty() && !kept_ship[i]) continue;
-    if (!plans[i].ship_complete) continue;
-    eligible.push_back(i);
+    if (plans[i].ship_complete) eligible.push_back(i);
   }
   struct ProbeOut {
     std::vector<std::pair<TrajectoryId, TrajectoryId>> pairs;
@@ -493,11 +491,9 @@ JoinPlanner::Execute(DitaEngine::JoinStats* stats) {
                            },
                            dst_bytes});
   }
-  std::vector<uint8_t> kept_probe;
   {
-    const Status probe_status =
-        cluster_.RunStage(std::move(probe_tasks),
-                          left_.StageOpts("join-probe", ctx_), &kept_probe);
+    const Status probe_status = cluster_.RunStage(
+        std::move(probe_tasks), StageOptions{"join-probe", ctx_});
     if (ctx_ != nullptr) {
       ctx_->ObserveVirtualSeconds(cluster_.MakespanSince(snap_));
     }
@@ -514,7 +510,6 @@ JoinPlanner::Execute(DitaEngine::JoinStats* stats) {
   ship_pairs_ = 0;
   size_t merged_edges = 0;
   for (size_t slot = 0; slot < eligible.size(); ++slot) {
-    if (!kept_probe.empty() && !kept_probe[slot]) continue;
     if (!probe_outs[slot].complete) continue;
     ++merged_edges;
     const EdgePlan& plan = plans[eligible[slot]];

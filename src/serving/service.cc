@@ -172,7 +172,6 @@ DitaService::DitaService(std::shared_ptr<Cluster> cluster,
   if (config_.serving.max_queued_queries > 0) {
     sopts.max_queued = config_.serving.max_queued_queries;
   }
-  sopts.max_bypass = config_.serving.max_bypass;
   scheduler_ = std::make_unique<QueryScheduler>(sopts);
 
   tracer_ =

@@ -16,12 +16,6 @@
 namespace dita {
 namespace {
 
-std::shared_ptr<Cluster> MakeCluster(size_t workers = 4) {
-  ClusterConfig cfg;
-  cfg.num_workers = workers;
-  return std::make_shared<Cluster>(cfg);
-}
-
 const CityShape kShape{.avg_len = 14, .max_len = 40};
 
 std::vector<TrajectoryId> BruteForceSearch(const Dataset& ds,

@@ -34,18 +34,6 @@ namespace {
 
 constexpr uint64_t kSeedMatrix[] = {11, 22, 33, 44, 55};
 
-DitaConfig SmallConfig() {
-  DitaConfig config;
-  config.build.ng = 3;
-  config.build.trie.num_pivots = 3;
-  config.build.trie.align_fanout = 8;
-  config.build.trie.pivot_fanout = 4;
-  config.build.trie.leaf_capacity = 4;
-  config.distance_params.epsilon = 0.01;
-  config.verify.cell_size = 0.02;
-  return config;
-}
-
 FaultPlan ChaosPlan(uint64_t seed) {
   FaultPlan plan;
   plan.seed = seed;

@@ -376,72 +376,9 @@ TEST(ClusterFaultTest, StragglersSlowVirtualTimeAndSpeculationRecovers) {
   EXPECT_LT(spec, slow);
 }
 
-TEST(ClusterFaultTest, StageDeadlineSurfacesDeadlineExceeded) {
-  ClusterConfig cfg;
-  cfg.num_workers = 2;
-  Cluster cluster(cfg);
-  FaultPlan plan;
-  plan.straggler_prob = 1.0;
-  plan.straggler_multiplier = 1e7;  // any real task blows the budget
-  cluster.InjectFaults(plan);
-  std::vector<Cluster::Task> tasks;
-  tasks.push_back({0, [] { SpinFor(0.002); return Status::OK(); }});
-  StageOptions opts;
-  opts.name = "probe";
-  opts.deadline_seconds = 1.0;
-  Status s = cluster.RunStage(std::move(tasks), opts);
-  EXPECT_EQ(s.code(), Status::Code::kDeadlineExceeded);
-  EXPECT_EQ(cluster.fault_stats().deadline_misses, 1u);
-
-  // Without the deadline the same stage merely runs long.
-  std::vector<Cluster::Task> tasks2;
-  tasks2.push_back({0, [] { SpinFor(0.002); return Status::OK(); }});
-  EXPECT_TRUE(cluster.RunStage(std::move(tasks2)).ok());
-}
-
-TEST(ClusterDeadlineTest, KeptVectorIsDeterministicPrefixUnderDeadline) {
-  // Pin the deadline output state: tasks whose virtual charge fits inside
-  // StageOptions::deadline_seconds keep their outputs, later ones on the
-  // same worker are dropped — deterministically, via fixed ChargeCurrentTask
-  // charges rather than measured CPU.
-  ClusterConfig cfg;
-  cfg.num_workers = 1;  // one worker => charges accumulate in task order
-  Cluster cluster(cfg);
-  std::vector<Cluster::Task> tasks;
-  for (const double charge : {0.4, 0.4, 10.0, 0.4}) {
-    tasks.push_back({0, [charge] {
-      Cluster::ChargeCurrentTask(charge);
-      return Status::OK();
-    }});
-  }
-  StageOptions opts;
-  opts.name = "probe";
-  opts.deadline_seconds = 1.0;
-  std::vector<uint8_t> kept;
-  Status s = cluster.RunStage(std::move(tasks), opts, &kept);
-  EXPECT_EQ(s.code(), Status::Code::kDeadlineExceeded);
-  ASSERT_EQ(kept.size(), 4u);
-  // 0.4 and 0.8 fit; the 10-second task blows the budget; everything after
-  // it on the worker is already past the deadline too.
-  EXPECT_EQ(kept[0], 1);
-  EXPECT_EQ(kept[1], 1);
-  EXPECT_EQ(kept[2], 0);
-  EXPECT_EQ(kept[3], 0);
-  EXPECT_EQ(cluster.fault_stats().deadline_misses, 1u);
-
-  // Without a deadline every executed task is kept.
-  std::vector<Cluster::Task> tasks2;
-  tasks2.push_back({0, [] { return Status::OK(); }});
-  std::vector<uint8_t> kept2;
-  ASSERT_TRUE(cluster.RunStage(std::move(tasks2), StageOptions{}, &kept2).ok());
-  ASSERT_EQ(kept2.size(), 1u);
-  EXPECT_EQ(kept2[0], 1);
-}
-
 TEST(ClusterCancelTest, StoppedContextSkipsRemainingTasks) {
   // A context that stops mid-stage: the task that cancels runs, later task
-  // bodies are skipped, kept marks exactly the completed prefix, and the
-  // stage surfaces the context's status.
+  // bodies are skipped, and the stage surfaces the context's status.
   ClusterConfig cfg;
   cfg.num_workers = 1;
   Cluster cluster(cfg);
@@ -464,14 +401,9 @@ TEST(ClusterCancelTest, StoppedContextSkipsRemainingTasks) {
   StageOptions opts;
   opts.name = "search";
   opts.ctx = &ctx;
-  std::vector<uint8_t> kept;
-  Status s = cluster.RunStage(std::move(tasks), opts, &kept);
+  Status s = cluster.RunStage(std::move(tasks), opts);
   EXPECT_EQ(s.code(), Status::Code::kCancelled);
   EXPECT_EQ(ran, 2);  // third body never executed
-  ASSERT_EQ(kept.size(), 3u);
-  EXPECT_EQ(kept[0], 1);
-  EXPECT_EQ(kept[1], 1);  // ran to completion before the skip took effect
-  EXPECT_EQ(kept[2], 0);
 }
 
 TEST(ClusterCancelTest, StoppedContextHaltsTransientRetries) {

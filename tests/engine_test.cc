@@ -32,48 +32,28 @@ constexpr bool BuiltWithSanitizer() {
 #endif
 }
 
-std::shared_ptr<Cluster> MakeCluster(size_t workers = 4) {
-  ClusterConfig cfg;
-  cfg.num_workers = workers;
-  return std::make_shared<Cluster>(cfg);
-}
-
-DitaConfig SmallConfig(DistanceType type = DistanceType::kDTW) {
-  DitaConfig config;
-  config.build.ng = 3;
-  config.build.trie.num_pivots = 3;
-  config.build.trie.align_fanout = 8;
-  config.build.trie.pivot_fanout = 4;
-  config.build.trie.leaf_capacity = 4;
-  config.distance = type;
-  config.distance_params.epsilon = 0.01;
-  config.distance_params.delta = 4;
-  config.verify.cell_size = 0.02;
-  return config;
-}
-
 TEST(DitaEngineTest, BuildValidatesInput) {
   auto cluster = MakeCluster();
-  DitaConfig config = SmallConfig();
+  DitaConfig config = MetricConfig();
   config.build.ng = 0;
   DitaEngine bad(cluster, config);
   EXPECT_FALSE(bad.BuildIndex(CityDataset(20, 51)).ok());
 
-  DitaEngine engine(cluster, SmallConfig());
+  DitaEngine engine(cluster, MetricConfig());
   Dataset with_short;
   with_short.Add(Trajectory(0, {{0, 0}}));
   EXPECT_FALSE(engine.BuildIndex(with_short).ok());
 }
 
 TEST(DitaEngineTest, SearchBeforeBuildFails) {
-  DitaEngine engine(MakeCluster(), SmallConfig());
+  DitaEngine engine(MakeCluster(), MetricConfig());
   Trajectory q(0, {{0, 0}, {1, 1}});
   EXPECT_FALSE(engine.Search(q, 1.0).ok());
 }
 
 TEST(DitaEngineTest, SearchRejectsBadArgs) {
   auto cluster = MakeCluster();
-  DitaEngine engine(cluster, SmallConfig());
+  DitaEngine engine(cluster, MetricConfig());
   ASSERT_TRUE(engine.BuildIndex(CityDataset(50, 51)).ok());
   Trajectory q(0, {{0, 0}, {1, 1}});
   EXPECT_FALSE(engine.Search(q, -1.0).ok());
@@ -82,7 +62,7 @@ TEST(DitaEngineTest, SearchRejectsBadArgs) {
 
 TEST(DitaEngineTest, IndexStatsPopulated) {
   auto cluster = MakeCluster();
-  DitaEngine engine(cluster, SmallConfig());
+  DitaEngine engine(cluster, MetricConfig());
   Dataset ds = CityDataset(300, 51);
   ASSERT_TRUE(engine.BuildIndex(ds).ok());
   const auto& stats = engine.index_stats();
@@ -97,11 +77,11 @@ TEST(DitaEngineTest, ParallelBuildMatchesSerialBuild) {
   // build_threads only changes how construction work is chunked; the index,
   // the simulated cost ledger, and every query answer must be unchanged.
   Dataset ds = CityDataset(500, 51);
-  DitaConfig serial_cfg = SmallConfig();
+  DitaConfig serial_cfg = MetricConfig();
   DitaEngine serial(MakeCluster(), serial_cfg);
   ASSERT_TRUE(serial.BuildIndex(ds).ok());
 
-  DitaConfig parallel_cfg = SmallConfig();
+  DitaConfig parallel_cfg = MetricConfig();
   parallel_cfg.build.threads = 3;
   DitaEngine parallel(MakeCluster(), parallel_cfg);
   ASSERT_TRUE(parallel.BuildIndex(ds).ok());
@@ -175,7 +155,7 @@ void ExpectSearchMatchesBruteForce(const DitaConfig& config,
 class EngineSearchProperty : public ::testing::TestWithParam<DistanceType> {};
 
 TEST_P(EngineSearchProperty, MatchesBruteForce) {
-  ExpectSearchMatchesBruteForce(SmallConfig(GetParam()), CityDataset(300, 51));
+  ExpectSearchMatchesBruteForce(MetricConfig(GetParam()), CityDataset(300, 51));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDistances, EngineSearchProperty,
@@ -193,7 +173,7 @@ class EngineJoinProperty : public ::testing::TestWithParam<DistanceType> {};
 
 TEST_P(EngineJoinProperty, SelfJoinMatchesBruteForce) {
   auto cluster = MakeCluster();
-  DitaConfig config = SmallConfig(GetParam());
+  DitaConfig config = MetricConfig(GetParam());
   DitaEngine engine(cluster, config);
   Dataset ds = CityDataset(120, 61);
   ASSERT_TRUE(engine.BuildIndex(ds).ok());
@@ -236,7 +216,7 @@ class EngineCellBoundProperty
     : public ::testing::TestWithParam<std::tuple<DistanceType, bool>> {
  protected:
   DitaConfig Config() const {
-    DitaConfig config = SmallConfig(std::get<0>(GetParam()));
+    DitaConfig config = MetricConfig(std::get<0>(GetParam()));
     config.verify.enable_cell = std::get<1>(GetParam());
     return config;
   }
@@ -263,9 +243,9 @@ TEST(DitaEngineTest, CellBoundOffByDefaultAndAnswersUnchanged) {
 
   Dataset ds = WithJitteredCopies(CityDataset(100, 83), 9);
   auto cluster = MakeCluster();
-  DitaConfig with_cell = SmallConfig();
+  DitaConfig with_cell = MetricConfig();
   with_cell.verify.enable_cell = true;
-  DitaEngine off(cluster, SmallConfig());
+  DitaEngine off(cluster, MetricConfig());
   DitaEngine on(cluster, with_cell);
   ASSERT_TRUE(off.BuildIndex(ds).ok());
   ASSERT_TRUE(on.BuildIndex(ds).ok());
@@ -303,7 +283,7 @@ class EngineKnnProperty : public ::testing::TestWithParam<DistanceType> {};
 
 TEST_P(EngineKnnProperty, MatchesBruteForce) {
   auto cluster = MakeCluster();
-  DitaConfig config = SmallConfig(GetParam());
+  DitaConfig config = MetricConfig(GetParam());
   DitaEngine engine(cluster, config);
   Dataset ds = CityDataset(250, 65);
   ASSERT_TRUE(engine.BuildIndex(ds).ok());
@@ -343,11 +323,11 @@ TEST(DitaEngineTest, ParallelVerificationMatchesSerial) {
   // and the offloaded CPU must land in the owning worker's virtual time.
   Dataset ds = CityDataset(300, 51);
   auto serial_cluster = MakeCluster();
-  DitaEngine serial(serial_cluster, SmallConfig());
+  DitaEngine serial(serial_cluster, MetricConfig());
   ASSERT_TRUE(serial.BuildIndex(ds).ok());
 
   auto parallel_cluster = MakeCluster();
-  DitaConfig parallel_config = SmallConfig();
+  DitaConfig parallel_config = MetricConfig();
   parallel_config.verify.threads = 2;
   parallel_config.verify.parallel_min = 1;  // force the pool path
   DitaEngine parallel(parallel_cluster, parallel_config);
@@ -373,7 +353,7 @@ TEST(DitaEngineTest, ParallelVerificationMatchesSerial) {
 
 TEST(DitaEngineTest, KnnEdgeCases) {
   auto cluster = MakeCluster();
-  DitaEngine engine(cluster, SmallConfig());
+  DitaEngine engine(cluster, MetricConfig());
   Dataset ds = CityDataset(50, 66);
   ASSERT_TRUE(engine.BuildIndex(ds).ok());
   auto zero = engine.KnnSearch(ds[0], 0);
@@ -388,7 +368,7 @@ TEST(DitaEngineTest, KnnEdgeCases) {
 
 TEST(DitaEngineTest, TwoTableJoinMatchesBruteForce) {
   auto cluster = MakeCluster();
-  DitaConfig config = SmallConfig();
+  DitaConfig config = MetricConfig();
   DitaEngine left(cluster, config);
   DitaEngine right(cluster, config);
   Dataset ds_l = CityDataset(100, 71);
@@ -414,7 +394,7 @@ TEST(DitaEngineTest, TwoTableJoinMatchesBruteForce) {
 TEST(DitaEngineTest, EmptySelfJoinIsEmpty) {
   // The join's bi-graph has no nodes: planning must not pick a hottest node
   // or a cost quantile out of an empty vector.
-  DitaEngine engine(MakeCluster(), SmallConfig());
+  DitaEngine engine(MakeCluster(), MetricConfig());
   ASSERT_TRUE(engine.BuildIndex(Dataset()).ok());
   QueryRequest req;
   req.kind = QueryKind::kJoin;
@@ -429,8 +409,8 @@ TEST(DitaEngineTest, EmptySelfJoinIsEmpty) {
 TEST(DitaEngineTest, EmptyJoinNonEmptyIsEmpty) {
   // Nodes on one side only: the bi-graph has no edges, in either direction.
   auto cluster = MakeCluster();
-  DitaEngine empty(cluster, SmallConfig());
-  DitaEngine full(cluster, SmallConfig());
+  DitaEngine empty(cluster, MetricConfig());
+  DitaEngine full(cluster, MetricConfig());
   ASSERT_TRUE(empty.BuildIndex(Dataset()).ok());
   ASSERT_TRUE(full.BuildIndex(CityDataset(60, 3)).ok());
   for (const auto& [left, right] :
@@ -447,8 +427,8 @@ TEST(DitaEngineTest, EmptyJoinNonEmptyIsEmpty) {
 }
 
 TEST(DitaEngineTest, JoinRequiresSharedCluster) {
-  DitaEngine a(MakeCluster(), SmallConfig());
-  DitaEngine b(MakeCluster(), SmallConfig());
+  DitaEngine a(MakeCluster(), MetricConfig());
+  DitaEngine b(MakeCluster(), MetricConfig());
   ASSERT_TRUE(a.BuildIndex(CityDataset(30, 1)).ok());
   ASSERT_TRUE(b.BuildIndex(CityDataset(30, 2)).ok());
   EXPECT_FALSE(a.Join(b, 0.1).ok());
@@ -456,7 +436,7 @@ TEST(DitaEngineTest, JoinRequiresSharedCluster) {
 
 TEST(DitaEngineTest, SearchChargesClusterCosts) {
   auto cluster = MakeCluster();
-  DitaEngine engine(cluster, SmallConfig());
+  DitaEngine engine(cluster, MetricConfig());
   ASSERT_TRUE(engine.BuildIndex(CityDataset(200, 51)).ok());
   Trajectory q = CityDataset(200, 51)[0];
   DitaEngine::QueryStats stats;
@@ -467,7 +447,7 @@ TEST(DitaEngineTest, SearchChargesClusterCosts) {
 
 TEST(DitaEngineTest, JoinShipsBytesAndReportsStats) {
   auto cluster = MakeCluster();
-  DitaEngine engine(cluster, SmallConfig());
+  DitaEngine engine(cluster, MetricConfig());
   ASSERT_TRUE(engine.BuildIndex(CityDataset(150, 51)).ok());
   DitaEngine::JoinStats stats;
   ASSERT_TRUE(engine.Join(engine, 0.03, &stats).ok());
@@ -498,7 +478,7 @@ TEST(DitaEngineTest, AblationTogglesPreserveCorrectness) {
   std::vector<std::pair<TrajectoryId, TrajectoryId>> reference;
   for (int mask = 0; mask < 4; ++mask) {
     auto cluster = MakeCluster();
-    DitaConfig config = SmallConfig();
+    DitaConfig config = MetricConfig();
     config.verify.enable_mbr = mask & 1;
     config.verify.enable_cell = mask & 2;
     config.enable_graph_orientation = mask & 1;
@@ -530,7 +510,7 @@ TEST(DitaEngineTest, DivisionBalancingFiresOnSkewAndPreservesResults) {
 
   auto run = [&](bool division) {
     auto cluster = MakeCluster(8);
-    DitaConfig config = SmallConfig();
+    DitaConfig config = MetricConfig();
     config.build.ng = 5;
     config.enable_division_balancing = division;
     DitaEngine engine(cluster, config);
@@ -557,7 +537,7 @@ TEST(DitaEngineTest, RandomPartitioningStillCorrect) {
   const double tau = 0.03;
   auto run = [&](bool random) {
     auto cluster = MakeCluster();
-    DitaConfig config = SmallConfig();
+    DitaConfig config = MetricConfig();
     config.build.random_partitioning = random;
     DitaEngine engine(cluster, config);
     EXPECT_TRUE(engine.BuildIndex(ds).ok());
@@ -578,7 +558,7 @@ TEST(DitaEngineTest, RandomPartitioningComparison) {
   // fewer bytes than the number of partition pairs would suggest, because
   // fewer trajectories are relevant to each partition.
   auto cluster = MakeCluster();
-  DitaEngine engine(cluster, SmallConfig());
+  DitaEngine engine(cluster, MetricConfig());
   ASSERT_TRUE(engine.BuildIndex(CityDataset(200, 91)).ok());
   DitaEngine::JoinStats stats;
   ASSERT_TRUE(engine.Join(engine, 0.02, &stats).ok());

@@ -10,17 +10,14 @@
 #include "roadnet/network_trips.h"
 #include "workload/binary_io.h"
 #include "workload/generator.h"
+#include "test_data.h"
 
 namespace dita {
 namespace {
 
-std::shared_ptr<Cluster> MakeCluster() {
-  ClusterConfig cfg;
-  cfg.num_workers = 4;
-  return std::make_shared<Cluster>(cfg);
-}
-
-DitaConfig SmallConfig() {
+/// A shallow, small-leaf trie at the library's default fanouts, epsilon
+/// and cell size.
+DitaConfig DefaultFanoutConfig() {
   DitaConfig config;
   config.build.ng = 3;
   config.build.trie.num_pivots = 3;
@@ -44,8 +41,8 @@ TEST(IntegrationTest, BinaryRoundTripPreservesQueryResults) {
   ASSERT_TRUE(loaded.ok());
   std::remove(path.c_str());
 
-  DitaEngine a(MakeCluster(), SmallConfig());
-  DitaEngine b(MakeCluster(), SmallConfig());
+  DitaEngine a(MakeCluster(), DefaultFanoutConfig());
+  DitaEngine b(MakeCluster(), DefaultFanoutConfig());
   ASSERT_TRUE(a.BuildIndex(original).ok());
   ASSERT_TRUE(b.BuildIndex(*loaded).ok());
   for (const auto& q : original.SampleQueries(5, 3)) {
@@ -70,7 +67,7 @@ TEST(IntegrationTest, SimplifiedDatasetAnswersApproximateQueries) {
   }
   ASSERT_LE(slim.TotalPoints(), raw.TotalPoints());
 
-  DitaEngine engine(MakeCluster(), SmallConfig());
+  DitaEngine engine(MakeCluster(), DefaultFanoutConfig());
   ASSERT_TRUE(engine.BuildIndex(slim).ok());
   // Searching with a downsampled query still finds its own trip exactly.
   for (size_t i = 0; i < 10; ++i) {
@@ -91,7 +88,7 @@ TEST(IntegrationTest, NetworkTripsIndexAndSelfJoin) {
   auto trips = GenerateNetworkTrips(net, opts);
   ASSERT_TRUE(trips.ok());
 
-  DitaEngine engine(MakeCluster(), SmallConfig());
+  DitaEngine engine(MakeCluster(), DefaultFanoutConfig());
   ASSERT_TRUE(engine.BuildIndex(trips->trips).ok());
 
   // Self-search: every trip finds itself at tau ~ its own noise level.

@@ -23,7 +23,7 @@ namespace {
 
 using Neighbors = std::vector<KnnNeighbor>;
 
-std::shared_ptr<Cluster> MakeCluster(size_t execution_threads = 0) {
+std::shared_ptr<Cluster> MakeThreadedCluster(size_t execution_threads) {
   ClusterConfig cfg;
   cfg.num_workers = 4;
   cfg.execution_threads = execution_threads;
@@ -31,20 +31,6 @@ std::shared_ptr<Cluster> MakeCluster(size_t execution_threads = 0) {
 }
 
 const CityShape kShape{.max_len = 40};
-
-DitaConfig SmallConfig(DistanceType type) {
-  DitaConfig config;
-  config.build.ng = 3;
-  config.build.trie.num_pivots = 3;
-  config.build.trie.align_fanout = 8;
-  config.build.trie.pivot_fanout = 4;
-  config.build.trie.leaf_capacity = 4;
-  config.distance = type;
-  config.distance_params.epsilon = 0.01;
-  config.distance_params.delta = 4;
-  config.verify.cell_size = 0.02;
-  return config;
-}
 
 /// A city table whose trajectories have ids 500 + i, plus exact copies of
 /// every 4th one under a smaller id (i) and of every 7th one under a larger
@@ -192,11 +178,11 @@ void ExpectServiceWithDeltaMatchesNaiveTopK(DitaConfig config) {
 class KnnOracle : public ::testing::TestWithParam<DistanceType> {};
 
 TEST_P(KnnOracle, EngineMatchesNaiveTopK) {
-  ExpectEngineMatchesNaiveTopK(SmallConfig(GetParam()));
+  ExpectEngineMatchesNaiveTopK(MetricConfig(GetParam()));
 }
 
 TEST_P(KnnOracle, ServiceWithDeltaMatchesNaiveTopK) {
-  ExpectServiceWithDeltaMatchesNaiveTopK(SmallConfig(GetParam()));
+  ExpectServiceWithDeltaMatchesNaiveTopK(MetricConfig(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDistances, KnnOracle,
@@ -215,7 +201,7 @@ class KnnOracleCellBound
     : public ::testing::TestWithParam<std::tuple<DistanceType, bool>> {
  protected:
   DitaConfig Config() const {
-    DitaConfig config = SmallConfig(std::get<0>(GetParam()));
+    DitaConfig config = MetricConfig(std::get<0>(GetParam()));
     config.verify.enable_cell = std::get<1>(GetParam());
     return config;
   }
@@ -242,10 +228,10 @@ INSTANTIATE_TEST_SUITE_P(
 /// Four execution threads run a stage's partition tasks concurrently, so the
 /// shared k-th bound is read and tightened from several threads at once.
 TEST(KnnOracleThreaded, ConcurrentSweepMatchesNaiveTopK) {
-  const DitaConfig config = SmallConfig(DistanceType::kDTW);
+  const DitaConfig config = MetricConfig(DistanceType::kDTW);
   const auto dist = *MakeDistance(DistanceType::kDTW, config.distance_params);
   const Dataset table = TableWithTies(150, 64);
-  DitaEngine engine(MakeCluster(/*execution_threads=*/4), config);
+  DitaEngine engine(MakeThreadedCluster(/*execution_threads=*/4), config);
   ASSERT_TRUE(engine.BuildIndex(table).ok());
   for (const Trajectory& q : Queries(table)) {
     for (const size_t k : Ks(table.size())) {
@@ -286,7 +272,7 @@ void ExpectPrefix(const Neighbors& got, const Neighbors& full, size_t k,
 }
 
 TEST(KnnOracleStopped, CancelledOrBudgetedSweepReturnsProvenPrefix) {
-  const DitaConfig config = SmallConfig(DistanceType::kDTW);
+  const DitaConfig config = MetricConfig(DistanceType::kDTW);
   const Dataset table = TableWithTies(200, 65);
   DitaEngine engine(MakeCluster(), config);
   ASSERT_TRUE(engine.BuildIndex(table).ok());
@@ -328,7 +314,7 @@ TEST(KnnOracleStopped, CancelledOrBudgetedSweepReturnsProvenPrefix) {
 }
 
 TEST(KnnOracleStopped, ServiceStoppedSweepIsPrefixOfLiveAnswer) {
-  DitaConfig config = SmallConfig(DistanceType::kDTW);
+  DitaConfig config = MetricConfig(DistanceType::kDTW);
   config.serving.synchronous_merge = true;
   config.serving.merge_threshold = 1000;
   const Dataset table = TableWithTies(200, 66);

@@ -21,13 +21,9 @@
 namespace dita {
 namespace {
 
-std::shared_ptr<Cluster> MakeCluster() {
-  ClusterConfig cfg;
-  cfg.num_workers = 4;
-  return std::make_shared<Cluster>(cfg);
-}
-
-DitaConfig SmallConfig() {
+/// A shallow, small-leaf trie at the library's default fanouts and
+/// epsilon, with 0.02 cells.
+DitaConfig DefaultFanoutConfig() {
   DitaConfig config;
   config.build.ng = 3;
   config.build.trie.num_pivots = 3;
@@ -70,7 +66,7 @@ QueryRequest Request(QueryKind kind, Trajectory query, double tau) {
 }
 
 TEST(RequestBoundaryTest, MalformedInputIsInvalidArgument) {
-  const DitaConfig config = SmallConfig();
+  const DitaConfig config = DefaultFanoutConfig();
   const std::shared_ptr<Cluster> cluster = MakeCluster();
   const Dataset table = CityDataset(60, 68, kShape);
   const Trajectory& good = table[3];

@@ -27,24 +27,6 @@
 namespace dita {
 namespace {
 
-DitaConfig SmallConfig() {
-  DitaConfig config;
-  config.build.ng = 3;
-  config.build.trie.num_pivots = 3;
-  config.build.trie.align_fanout = 8;
-  config.build.trie.pivot_fanout = 4;
-  config.build.trie.leaf_capacity = 4;
-  config.distance_params.epsilon = 0.01;
-  config.verify.cell_size = 0.02;
-  return config;
-}
-
-std::shared_ptr<Cluster> MakeCluster(size_t workers = 4) {
-  ClusterConfig cfg;
-  cfg.num_workers = workers;
-  return std::make_shared<Cluster>(cfg);
-}
-
 /// Re-ids a trajectory so insert pools never collide with base ids.
 Trajectory WithId(const Trajectory& t, TrajectoryId id) {
   return Trajectory(id, t.points());

@@ -3,7 +3,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 
+#include "cluster/cluster.h"
+#include "core/config.h"
+#include "distance/distance.h"
 #include "geom/mbr.h"
 #include "workload/dataset.h"
 #include "workload/generator.h"
@@ -32,6 +36,36 @@ inline Dataset CityDataset(size_t n, uint64_t seed,
   cfg.max_len = shape.max_len;
   cfg.seed = seed;
   return GenerateTaxiDataset(cfg);
+}
+
+/// A small-table engine config: a shallow trie (3 pivots, fanouts 8 and 4,
+/// 4 members a leaf), 0.01 matching epsilon and 0.02 cells, under DTW.
+inline DitaConfig SmallConfig() {
+  DitaConfig config;
+  config.build.ng = 3;
+  config.build.trie.num_pivots = 3;
+  config.build.trie.align_fanout = 8;
+  config.build.trie.pivot_fanout = 4;
+  config.build.trie.leaf_capacity = 4;
+  config.distance_params.epsilon = 0.01;
+  config.verify.cell_size = 0.02;
+  return config;
+}
+
+/// SmallConfig under metric `type`, with LCSS's index window at 4.
+inline DitaConfig MetricConfig(DistanceType type = DistanceType::kDTW) {
+  DitaConfig config = SmallConfig();
+  config.distance = type;
+  config.distance_params.delta = 4;
+  return config;
+}
+
+/// A simulated cluster of `workers` workers with default bandwidth, run on
+/// one execution thread.
+inline std::shared_ptr<Cluster> MakeCluster(size_t workers = 4) {
+  ClusterConfig cfg;
+  cfg.num_workers = workers;
+  return std::make_shared<Cluster>(cfg);
 }
 
 }  // namespace dita
