@@ -54,8 +54,10 @@ run_pass() {
 # naive reference DPs compiled without -march=native, and the trie tests
 # hold the tuned index/ traversal to its recursive reference (same
 # candidates, same order, same probe counters) and to never dropping a true
-# answer.
-native_filter='Oracle|ThresholdEdge|DpScratch|Dtw|Frechet|Edr|Lcss|Erp|Distance|Verif|EngineSearch|FlatTrie|TrieIndex|TrieFilter'
+# answer. The self-join verifies each unordered pair once and mirrors it, so
+# it also runs its brute-force oracle (EngineJoin) here, where FMA
+# contraction could break the kernels' bitwise symmetry.
+native_filter='Oracle|ThresholdEdge|DpScratch|Dtw|Frechet|Edr|Lcss|Erp|Distance|Verif|EngineSearch|EngineJoin|FlatTrie|TrieIndex|TrieFilter'
 
 # The TSan pass covers every code path that shares memory across pool
 # threads: the pool itself, parallel index construction and tiling sorts

@@ -132,11 +132,13 @@ Result<std::vector<std::pair<TrajectoryId, TrajectoryId>>> SimbaEngine::SelfJoin
   const Cluster::CostSnapshot snap = cluster_->Snapshot();
   const uint64_t bytes_before = cluster_->total_bytes_sent();
 
-  // Relevant ordered partition pairs: first MBRs within tau.
+  // Relevant partition pairs: first MBRs within tau. As in DITA's
+  // self-join, the pairs form a triangle (j >= i) and every accepted pair is
+  // emitted in both orientations, since the distances are symmetric.
   std::vector<std::pair<uint32_t, uint32_t>> edges;
   CpuTimer driver_timer;
   for (uint32_t i = 0; i < partitions_.size(); ++i) {
-    for (uint32_t j = 0; j < partitions_.size(); ++j) {
+    for (uint32_t j = i; j < partitions_.size(); ++j) {
       if (partitions_[i].mbr_first.MinDist(partitions_[j].mbr_first) <= tau) {
         edges.emplace_back(i, j);
       }
@@ -160,15 +162,21 @@ Result<std::vector<std::pair<TrajectoryId, TrajectoryId>>> SimbaEngine::SelfJoin
     tasks.push_back({cluster_->WorkerOf(edge.second),
                      [&, src, dst] {
       std::vector<std::pair<TrajectoryId, TrajectoryId>> local;
-      size_t local_pairs = 0;
-      for (const Trajectory& a : src->trajectories) {
+      size_t local_pairs = 0;  // ordered pairs: a self-pair counts once
+      const bool diagonal = src == dst;
+      for (uint32_t a_pos = 0; a_pos < src->trajectories.size(); ++a_pos) {
+        const Trajectory& a = src->trajectories[a_pos];
         std::vector<uint32_t> cands;
         dst->first_points.SearchWithinDistance(a.front(), tau, &cands);
-        local_pairs += cands.size();
         for (uint32_t pos : cands) {
+          // A diagonal partition pair decides each unordered pair once.
+          if (diagonal && pos < a_pos) continue;
+          const bool self = diagonal && pos == a_pos;
+          local_pairs += self ? 1 : 2;
           const Trajectory& b = dst->trajectories[pos];
           if (distance_->WithinThreshold(b, a, tau)) {
             local.emplace_back(a.id(), b.id());
+            if (!self) local.emplace_back(b.id(), a.id());
           }
         }
       }

@@ -37,7 +37,10 @@ class SimbaEngine {
   /// Join: relevant partition pairs exchange *entire partitions* (the
   /// paper's observation (4) in §7.2.2 — Simba ships partitions while DITA
   /// ships individual trajectories), then probe the local first-point
-  /// R-tree and verify. No cost model, no balancing.
+  /// R-tree and verify. No cost model, no balancing. Like DITA's self-join
+  /// it verifies each unordered pair once (a triangle of partition pairs,
+  /// each accepted pair emitted in both orientations), so the join figures
+  /// compare like with like.
   Result<std::vector<std::pair<TrajectoryId, TrajectoryId>>> SelfJoin(
       double tau, DitaEngine::JoinStats* stats = nullptr) const;
 

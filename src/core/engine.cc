@@ -67,6 +67,7 @@ std::string RenderExplain(const QueryResult& res) {
         << ", divided partitions: " << s.divided_partitions
         << ", bytes shipped: " << s.bytes_shipped
         << ", result pairs: " << s.result_pairs
+        << ", mirrored pairs: " << s.mirrored_pairs
         << ", makespan: " << s.makespan_seconds << "s\n";
   } else {
     const QueryStats& s = res.search_stats;

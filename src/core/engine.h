@@ -64,8 +64,15 @@ struct JoinStats {
   uint64_t bytes_shipped = 0;
   size_t graph_edges = 0;
   size_t divided_partitions = 0;
+  /// Candidate and result pairs, like every join counter, are ordered
+  /// pairs: the answer's unit. A self-join decides each unordered pair once
+  /// and counts it for both orientations; a self-pair (T, T) counts once.
   size_t candidate_pairs = 0;
   size_t result_pairs = 0;
+  /// Ordered candidate pairs decided by mirroring their reverse rather than
+  /// by their own collect and verify: the work a self-join saves. 0 on a
+  /// two-table join.
+  size_t mirrored_pairs = 0;
   /// Verification-pipeline counters in pair units (mirrors
   /// QueryStats::verify; pairs == candidate_pairs, accepted ==
   /// result_pairs).

@@ -45,8 +45,11 @@ void JoinPlanner::BuildGraph() {
                              : nullptr;
   const PruneMode mode = left_.distance_->prune_mode();
   const double eps = left_.distance_->matching_epsilon();
+  // A self-join's bi-graph is a triangle: every distance is symmetric, so
+  // edge (j, i) would decide the pairs edge (i, j) decides, reversed, and
+  // Execute emits each of them in both orientations.
   for (uint32_t i = 0; i < left_.partitions_.size(); ++i) {
-    for (uint32_t j = 0; j < right_.partitions_.size(); ++j) {
+    for (uint32_t j = SelfJoin() ? i : 0; j < right_.partitions_.size(); ++j) {
       const auto& rs = right_.global_.summary(j);
       if (left_.global_.PartitionsMayJoin(i, rs.mbr_first, rs.mbr_last, tau_,
                                           mode, eps, erp_gap)) {
@@ -116,7 +119,13 @@ void JoinPlanner::EstimateWeights() {
   for (Edge& e : edges_) {
     double bytes_lr, pairs_lr, bytes_rl, pairs_rl;
     estimate(left_, e.left_part, right_, e.right_part, &bytes_lr, &pairs_lr);
-    estimate(right_, e.right_part, left_, e.left_part, &bytes_rl, &pairs_rl);
+    if (SelfJoin() && e.left_part == e.right_part) {
+      // A diagonal edge's two directions are one partition against itself.
+      bytes_rl = bytes_lr;
+      pairs_rl = pairs_lr;
+    } else {
+      estimate(right_, e.right_part, left_, e.left_part, &bytes_rl, &pairs_rl);
+    }
     const double bandwidth = cluster_.config().bandwidth_bytes_per_sec;
     e.trans_lr = bytes_lr / bandwidth;
     e.trans_rl = bytes_rl / bandwidth;
@@ -233,8 +242,7 @@ void JoinPlanner::PlanDivisions() {
   // The kDivisionQuantile of the node costs, interpolated linearly between
   // order statistics at position kDivisionQuantile * (n - 1). A
   // nearest-rank pick lands on the hottest cost itself whenever ties sit at
-  // the top — and in a self-join the hottest partition is two bi-graph
-  // nodes (its left and its right copy) that orientation leaves tied — so
+  // the top (orientation's fixpoint often leaves the hottest nodes tied), so
   // no node could exceed it.
   const double pos = kDivisionQuantile * double(sorted.size() - 1);
   const size_t lo = static_cast<size_t>(std::floor(pos));
@@ -306,17 +314,21 @@ Result<std::vector<std::pair<TrajectoryId, TrajectoryId>>> JoinPlanner::Run(
     stats->termination = ctx_ != nullptr ? ctx_->ToStatus() : Status::OK();
     stats->completeness = completeness_;
 
-    // Join filter funnel, in trajectory-pair units. Each (T, Q) pair lives
-    // in exactly one partition pair, so the per-edge sums never double
-    // count; the verify counters continue the funnel from the trie
-    // candidates down to the accepted result pairs.
+    // Join filter funnel, in ordered trajectory-pair units. Each (T, Q)
+    // pair lives in exactly one partition pair, and a self-join's
+    // off-diagonal edge stands for both (i, j) and (j, i), so the per-edge
+    // sums never double count; the verify counters continue the funnel from
+    // the trie candidates down to the accepted result pairs.
     const uint64_t all_pairs =
         static_cast<uint64_t>(left_.index_stats_.num_trajectories) *
         right_.index_stats_.num_trajectories;
     uint64_t graph_pairs = 0;
     for (const Edge& e : edges_) {
+      const uint64_t orientations =
+          SelfJoin() && e.left_part != e.right_part ? 2 : 1;
       graph_pairs +=
-          static_cast<uint64_t>(left_.partitions_[e.left_part].trie.size()) *
+          orientations *
+          left_.partitions_[e.left_part].trie.size() *
           right_.partitions_[e.right_part].trie.size();
     }
     obs::FilterFunnel funnel;
@@ -426,9 +438,12 @@ JoinPlanner::Execute(DitaEngine::JoinStats* stats) {
   for (size_t i = 0; i < plans.size(); ++i) {
     if (plans[i].ship_complete) eligible.push_back(i);
   }
+  // Each probe sorts its own pairs, so the driver only merges sorted runs.
   struct ProbeOut {
     std::vector<std::pair<TrajectoryId, TrajectoryId>> pairs;
     size_t candidates = 0;
+    size_t mirrored = 0;
+    uint64_t ship_pairs = 0;
     VerifyStats vstats;
     bool complete = false;
   };
@@ -456,7 +471,16 @@ JoinPlanner::Execute(DitaEngine::JoinStats* stats) {
       const auto& sp = src_side.partitions_[src];
       const auto& dp = dst_side.partitions_[dst];
 
+      // A self-join decides each unordered pair once and emits it in both
+      // orientations (counted in both, in ordered-pair units). On a
+      // diagonal edge the probe collects only the items after its own, and
+      // verifies the self-pair, counted once, on its own.
+      const bool mirror = SelfJoin();
+      const bool diagonal = mirror && e.left_part == e.right_part;
+      const size_t orientations = mirror ? 2 : 1;
+      const uint64_t dst_size = dp.trie.size();
       DpScratch& scratch = DpScratch::ThreadLocal();
+      VerifyStats* const self_stats = want_verify_stats ? &out->vstats : nullptr;
       double offloaded = 0.0;
       for (uint32_t pos : plan.shipped) {
         if (ctx_ != nullptr && ctx_->stopped()) break;
@@ -464,27 +488,44 @@ JoinPlanner::Execute(DitaEngine::JoinStats* stats) {
         const VerifyPrecomp& qp = sp.precomp[pos];
         TrieIndex::SearchSpec spec = dst_side.MakeSpec(q, tau_);
         spec.ctx = ctx_;
+        if (diagonal) {
+          const uint32_t item = dp.trie.ItemIndex(pos);
+          spec.min_item = item + 1;
+          // Ordered pairs (q, t) with t at or after q's item, and mirrors.
+          out->ship_pairs += 2 * (dst_size - item) - 1;
+          ++out->candidates;
+          if (dst_side.verifier_->Verify(q, qp, q, qp, tau_, self_stats)) {
+            out->pairs.emplace_back(q.id(), q.id());
+          }
+        } else {
+          out->ship_pairs += orientations * dst_size;
+        }
         std::vector<uint32_t>& cands = scratch.Candidates();
         cands.clear();
         dp.trie.CollectCandidates(spec, &cands);
-        out->candidates += cands.size();
+        out->candidates += orientations * cands.size();
+        if (mirror) out->mirrored += cands.size();
         std::vector<uint32_t>& accepted = scratch.Accepted();
         accepted.clear();
+        VerifyStats batch_stats;
         const Verifier::Batch batch{&dp.precomp, &cands, &qp, tau_, ctx_};
         const Verifier::BatchResult r = dst_side.verifier_->VerifyBatch(
             batch, dst_side.verify_pool_.get(),
             dst_side.config_.verify.parallel_min, &accepted,
-            want_verify_stats ? &out->vstats : nullptr, dst_side.tracer_);
+            want_verify_stats ? &batch_stats : nullptr, dst_side.tracer_);
         offloaded += r.offloaded_seconds;
+        for (size_t k = 0; k < orientations; ++k) out->vstats.Merge(batch_stats);
         for (uint32_t cpos : accepted) {
           const Trajectory& t = dp.trie.trajectory(cpos);
-          if (e.left_to_right) {
-            out->pairs.emplace_back(q.id(), t.id());
-          } else {
-            out->pairs.emplace_back(t.id(), q.id());
-          }
+          const std::pair<TrajectoryId, TrajectoryId> pair =
+              e.left_to_right ? std::make_pair(q.id(), t.id())
+                              : std::make_pair(t.id(), q.id());
+          out->pairs.push_back(pair);
+          // The self-pair never reaches here: only a diagonal holds it.
+          if (mirror) out->pairs.emplace_back(pair.second, pair.first);
         }
       }
+      std::sort(out->pairs.begin(), out->pairs.end());
       if (offloaded > 0.0) Cluster::ChargeCurrentTask(offloaded);
       out->complete = ctx_ == nullptr || !ctx_->stopped();
       return Status::OK();
@@ -503,26 +544,24 @@ JoinPlanner::Execute(DitaEngine::JoinStats* stats) {
   }
 
   // Merge the completed edges. ship_pairs_ counts only merged edges so the
-  // funnel still balances under degradation.
+  // funnel still balances under degradation, and a self-join's subset stays
+  // symmetric: both orientations of a pair come from the same edge.
   std::vector<std::pair<TrajectoryId, TrajectoryId>> results;
+  std::vector<size_t> run_ends;
   size_t candidate_pairs = 0;
+  size_t mirrored_pairs = 0;
   VerifyStats vstats;
   ship_pairs_ = 0;
-  size_t merged_edges = 0;
-  for (size_t slot = 0; slot < eligible.size(); ++slot) {
-    if (!probe_outs[slot].complete) continue;
-    ++merged_edges;
-    const EdgePlan& plan = plans[eligible[slot]];
-    const Edge& pe = *plan.edge;
-    const DitaEngine& plan_dst = pe.left_to_right ? right_ : left_;
-    const uint32_t dst_part = pe.left_to_right ? pe.right_part : pe.left_part;
-    ship_pairs_ += static_cast<uint64_t>(plan.shipped.size()) *
-                   plan_dst.partitions_[dst_part].trie.size();
-    results.insert(results.end(), probe_outs[slot].pairs.begin(),
-                   probe_outs[slot].pairs.end());
-    candidate_pairs += probe_outs[slot].candidates;
-    vstats.Merge(probe_outs[slot].vstats);
+  for (const ProbeOut& out : probe_outs) {
+    if (!out.complete) continue;
+    ship_pairs_ += out.ship_pairs;
+    results.insert(results.end(), out.pairs.begin(), out.pairs.end());
+    run_ends.push_back(results.size());
+    candidate_pairs += out.candidates;
+    mirrored_pairs += out.mirrored;
+    vstats.Merge(out.vstats);
   }
+  const size_t merged_edges = run_ends.size();
   completeness_ = edges_.empty() ? 1.0
                                  : static_cast<double>(merged_edges) /
                                        static_cast<double>(edges_.size());
@@ -530,12 +569,23 @@ JoinPlanner::Execute(DitaEngine::JoinStats* stats) {
 
   if (stats != nullptr) {
     stats->candidate_pairs = candidate_pairs;
+    stats->mirrored_pairs = mirrored_pairs;
     stats->verify = vstats;
   }
   // Fold the join's verify counters into the metrics registry (no global
   // probe or trie-level breakdown on the join path).
   left_.RecordFilterMetrics(0, TrieIndex::ProbeStats{}, vstats);
-  std::sort(results.begin(), results.end());
+  // Bottom-up merge of the probes' sorted runs: log2(runs) passes instead of
+  // one serial sort of every pair.
+  for (size_t width = 1; width < run_ends.size(); width *= 2) {
+    for (size_t i = width; i < run_ends.size(); i += 2 * width) {
+      const size_t lo = i == width ? 0 : run_ends[i - width - 1];
+      const size_t hi = run_ends[std::min(i + width, run_ends.size()) - 1];
+      std::inplace_merge(results.begin() + lo,
+                         results.begin() + run_ends[i - 1],
+                         results.begin() + hi);
+    }
+  }
   return results;
 }
 

@@ -25,7 +25,14 @@ namespace dita {
 ///     replicas (replication traffic is charged).
 ///  5. Execute: per edge, the source worker filters which of its
 ///     trajectories have candidates in the target partition and ships only
-///     those; the target worker probes its trie and verifies.
+///     those; the target worker probes its trie, verifies and sorts its
+///     pairs, and the driver merges the sorted runs.
+///
+/// A self-join (`&left == &right`) uses the symmetry of every distance: its
+/// bi-graph is a triangle, the edges (i, j) with j >= i, and each probe
+/// emits every pair it accepts in both orientations. A diagonal edge (i, i)
+/// probes only the trie items after the probe's own, and verifies the
+/// self-pair on its own, so each unordered pair is decided exactly once.
 class JoinPlanner {
  public:
   /// `ctx` (may be null) is the query's stop token: a join stopped
@@ -54,6 +61,8 @@ class JoinPlanner {
   };
 
   size_t NodeIndex(bool is_left, uint32_t part) const;
+  /// True for a self-join: one engine on both sides.
+  bool SelfJoin() const { return &left_ == &right_; }
   const DitaEngine& Side(bool is_left) const { return is_left ? left_ : right_; }
 
   void BuildGraph();
@@ -83,10 +92,11 @@ class JoinPlanner {
   size_t divided_partitions_ = 0;
   /// Measured seconds per verified candidate pair (Delta in §6.2).
   double seconds_per_pair_ = 1e-6;
-  /// Trajectory pairs surviving the ship-relevance filter: per edge,
-  /// |shipped| x |target partition| (funnel level between the partition
-  /// graph and the trie candidates). Filled by Execute; under degradation
-  /// it counts only the merged (completed) edges so the funnel balances.
+  /// Ordered trajectory pairs surviving the ship-relevance filter: per
+  /// edge, |shipped| x |target partition|, both orientations of a
+  /// self-join's mirrored pairs (funnel level between the partition graph
+  /// and the trie candidates). Filled by Execute; under degradation it
+  /// counts only the merged (completed) edges so the funnel balances.
   uint64_t ship_pairs_ = 0;
   /// Fraction of edges whose probe completed and was merged; 1.0 for
   /// complete joins. Filled by Execute.

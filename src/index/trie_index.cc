@@ -214,22 +214,17 @@ Status TrieIndex::Build(std::vector<Trajectory> trajectories,
     }
   }
 
-  // Subtree membership counts, for the funnel's per-level pruning tallies.
-  // BFS numbering guarantees every child id exceeds its parent's, so one
-  // reverse sweep folds leaf span lengths up to the root.
-  subtree_count_.assign(level_.size(), 0);
+  // Internal nodes' spans: BFS numbering puts every child after its
+  // parent, so one reverse sweep folds the leaf spans up to the root. The
+  // children of a node hold consecutive spans, so its span runs from its
+  // first child's begin to its last child's end.
   for (uint32_t n = static_cast<uint32_t>(level_.size()); n-- > 0;) {
-    if (child_count_[n] == 0) {
-      subtree_count_[n] = items_end_[n] - items_begin_[n];
-    } else {
-      uint32_t total = 0;
-      for (uint32_t c = first_child_[n]; c < first_child_[n] + child_count_[n];
-           ++c) {
-        total += subtree_count_[c];
-      }
-      subtree_count_[n] = total;
-    }
+    if (child_count_[n] == 0) continue;
+    items_begin_[n] = items_begin_[first_child_[n]];
+    items_end_[n] = items_end_[first_child_[n] + child_count_[n] - 1];
   }
+  item_index_.assign(items_.size(), 0);
+  for (uint32_t k = 0; k < items_.size(); ++k) item_index_[items_[k]] = k;
 
   if (offloaded_seconds != nullptr) *offloaded_seconds += off;
   return Status::OK();
@@ -358,6 +353,8 @@ void TrieIndex::CollectCandidates(const SearchSpec& spec,
                                   ProbeStats* stats, Scratch* scratch) const {
   DITA_CHECK(spec.query != nullptr);
   if (trajectories_.empty() || spec.query->empty()) return;
+  const uint32_t min_item = spec.min_item;
+  if (min_item >= trajectories_.size()) return;
   double budget = spec.tau;
   if (spec.mode == PruneMode::kEditCount) budget = std::floor(spec.tau);
   const Trajectory& q = *spec.query;
@@ -393,13 +390,18 @@ void TrieIndex::CollectCandidates(const SearchSpec& spec,
   // kEditCount and ERP go through TestNode. A passing leaf is emitted in
   // place while no internal sibling before it has survived (that subtree
   // comes first in DFS order); the other survivors are pushed in reverse, so
-  // emission order matches the recursive reference.
+  // emission order matches the recursive reference. Under a minimum item,
+  // a frame first skips its leading children whose span ends at or before
+  // it; every frame on the stack ends after it, so only the frames on the
+  // path to that item skip anything, and only a leaf on that path is
+  // clamped.
   std::vector<Frame>& stack = s.stack;
   std::vector<Frame>& survivors = s.survivors;
   // Appends leaf n's members; false when the candidate budget stops the
   // traversal.
   auto emit = [&](uint32_t n) {
-    const uint32_t lo = items_begin_[n], hi = items_end_[n];
+    const uint32_t lo = std::max(items_begin_[n], min_item);
+    const uint32_t hi = items_end_[n];
     if (spec.ctx != nullptr && spec.ctx->ChargeCandidates(hi - lo)) {
       return false;
     }
@@ -420,7 +422,7 @@ void TrieIndex::CollectCandidates(const SearchSpec& spec,
     if (stats != nullptr) {
       ++stats->nodes_pruned;
       stats->pruned_members[static_cast<size_t>(level_[c])] +=
-          subtree_count_[c];
+          items_end_[c] - std::max(items_begin_[c], min_item);
     }
   };
   // Local plane pointers: the scan's stores into `out` and `survivors`
@@ -446,15 +448,19 @@ void TrieIndex::CollectCandidates(const SearchSpec& spec,
       if (!emit(f.node)) return;
       continue;
     }
-    const uint32_t fc = first_child_[f.node];
+    const uint32_t end = first_child_[f.node] + cnt;
+    uint32_t fc = first_child_[f.node];
+    if (min_item != 0) {
+      while (items_end_[fc] <= min_item) ++fc;  // the last child ends after
+    }
     const int32_t level = level_[fc];
     survivors.clear();
-    visits_since_check += cnt;
-    if (stats != nullptr) stats->nodes_visited += cnt;
+    visits_since_check += end - fc;
+    if (stats != nullptr) stats->nodes_visited += end - fc;
     if (inline_endpoints && level < 2) {
       const Point p = level == 0 ? q.front() : q.back();
       const double limit_sq = SquaredLimit(f.budget);
-      for (uint32_t c = fc; c < fc + cnt; ++c) {
+      for (uint32_t c = fc; c < end; ++c) {
         double b = f.budget;
         // TestNode charges nothing at a non-chargeable accumulate level.
         if (!accumulate || chargeable[c]) {
@@ -469,7 +475,7 @@ void TrieIndex::CollectCandidates(const SearchSpec& spec,
         if (!admit(c, f.suffix_start, b)) return;
       }
     } else {
-      for (uint32_t c = fc; c < fc + cnt; ++c) {
+      for (uint32_t c = fc; c < end; ++c) {
         double b = f.budget;
         uint32_t st = f.suffix_start;
         if (!TestNode(c, spec, suffix_mbrs, &b, &st)) {
@@ -494,6 +500,7 @@ void TrieIndex::CollectCandidatesReference(const SearchSpec& spec,
                                            ProbeStats* stats) const {
   DITA_CHECK(spec.query != nullptr);
   if (trajectories_.empty() || spec.query->empty()) return;
+  if (spec.min_item >= trajectories_.size()) return;
   double budget = spec.tau;
   if (spec.mode == PruneMode::kEditCount) budget = std::floor(spec.tau);
   const auto& pts = spec.query->points();
@@ -517,17 +524,20 @@ void TrieIndex::SearchNodeReference(uint32_t n, const SearchSpec& spec,
     if (!pass) {
       ++stats->nodes_pruned;
       stats->pruned_members[static_cast<size_t>(level_[n])] +=
-          subtree_count_[n];
+          items_end_[n] - std::max(items_begin_[n], spec.min_item);
     }
   }
   if (!pass) return;
   const uint32_t cnt = child_count_[n];
   if (cnt == 0) {
-    out->insert(out->end(), items_.begin() + items_begin_[n],
+    out->insert(out->end(),
+                items_.begin() + std::max(items_begin_[n], spec.min_item),
                 items_.begin() + items_end_[n]);
     return;
   }
   for (uint32_t c = first_child_[n]; c < first_child_[n] + cnt; ++c) {
+    // Items before the minimum are neither tested nor emitted.
+    if (items_end_[c] <= spec.min_item) continue;
     SearchNodeReference(c, spec, suffix_mbrs, budget, suffix_start, out,
                         stats);
   }
@@ -539,7 +549,7 @@ size_t TrieIndex::ByteSize() const {
                  + n * sizeof(int32_t)        // level
                  + 6 * n * sizeof(uint32_t)   // child/items spans, src range
                  + n * sizeof(uint8_t)        // chargeable mask
-                 + items_.size() * sizeof(uint32_t);
+                 + 2 * items_.size() * sizeof(uint32_t);  // + inverse
   for (const IndexingSequence& s : sequences_) {
     bytes += s.points.size() * sizeof(Point) +
              s.source_indices.size() * sizeof(size_t) +

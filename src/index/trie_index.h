@@ -60,6 +60,13 @@ class TrieIndex {
     /// instead of a query point — and endpoint alignment and suffix
     /// trimming are disabled (gap matches consume no query points).
     const Point* erp_gap = nullptr;
+    /// Emit only items at DFS item index >= `min_item` (0 = all; see
+    /// ItemIndex). A self-join's diagonal probe passes the item after its
+    /// own, so each unordered pair of one partition is collected once. The
+    /// traversal skips the leading children whose subtree span ends at or
+    /// before it and clamps the leaf that straddles it; every other node is
+    /// scanned as without it.
+    uint32_t min_item = 0;
     /// Optional cooperative stop token. CollectCandidates checkpoints it
     /// every few hundred node visits and charges emitted candidates against
     /// its budget; on stop the traversal abandons the remaining subtrees
@@ -191,8 +198,15 @@ class TrieIndex {
   size_t num_levels() const { return options_.num_pivots + 2; }
 
   /// Trajectories stored under node `n` (== the whole population at the
-  /// root). Backs the funnel's pruned-member accounting.
-  uint32_t SubtreeCount(uint32_t n) const { return subtree_count_[n]; }
+  /// root): the length of its item span.
+  uint32_t SubtreeCount(uint32_t n) const {
+    return items_end_[n] - items_begin_[n];
+  }
+
+  /// The DFS item index of the trajectory at `pos`: the traversal emits
+  /// position `pos` as item ItemIndex(pos). SearchSpec::min_item is in
+  /// these units.
+  uint32_t ItemIndex(uint32_t pos) const { return item_index_[pos]; }
 
   /// FNV-1a hash over every flat array (structure, MBR planes, spans,
   /// items). Two tries with equal digests were built identically; the
@@ -236,8 +250,10 @@ class TrieIndex {
   /// child_count_[n]); count 0 marks a leaf.
   std::vector<uint32_t> first_child_;
   std::vector<uint32_t> child_count_;
-  /// Leaf members are items_[items_begin_[n] .. items_end_[n]); spans are
-  /// assigned in DFS order so the traversal emits increasing ranges.
+  /// Node n's subtree holds items_[items_begin_[n] .. items_end_[n]) (a
+  /// leaf's members; an internal node's span covers its children's).
+  /// Spans are assigned in DFS order so the traversal emits increasing
+  /// ranges, and a node's children hold consecutive spans.
   std::vector<uint32_t> items_begin_;
   std::vector<uint32_t> items_end_;
   /// Source-index range of the grouped indexing points (pivot levels only;
@@ -249,11 +265,10 @@ class TrieIndex {
   /// short trajectories). Accumulate/edit modes only charge chargeable
   /// levels to preserve the lower-bound property.
   std::vector<uint8_t> chargeable_;
-  /// Trajectories stored in the subtree rooted at each node (derived from
-  /// the leaf spans after the DFS pass; excluded from StructureDigest).
-  std::vector<uint32_t> subtree_count_;
   /// All leaf members, DFS leaf order, member order within a leaf.
   std::vector<uint32_t> items_;
+  /// Inverse of items_: item_index_[items_[k]] == k.
+  std::vector<uint32_t> item_index_;
 };
 
 }  // namespace dita

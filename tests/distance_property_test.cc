@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -360,6 +362,105 @@ TEST(ThresholdEdge, IntegerGridExactBoundaries) {
   EXPECT_TRUE(lcss_on->WithinThreshold(p, q, 0.0));
   EXPECT_FALSE(lcss_off->WithinThreshold(p, q, 0.0));
 }
+
+/// A self-join decides each unordered pair once and emits it in both
+/// orientations, so its exactness rests on every kernel being symmetric bit
+/// for bit. Pairs of lengths 2-120: random walks, duplicates (a copy, and a
+/// copy with every point repeated), constant-point trajectories and walks
+/// shifted to huge coordinates, where a contracted multiply-add would round
+/// differently in the two orientations.
+std::vector<std::pair<Trajectory, Trajectory>> SymmetryPairs() {
+  Rng rng(4711);
+  std::vector<std::pair<Trajectory, Trajectory>> pairs;
+  TrajectoryId id = 0;
+  auto length = [&rng] { return static_cast<size_t>(rng.UniformInt(2, 120)); };
+  auto shifted = [](Trajectory t, double scale, Point offset) {
+    for (Point& p : t.mutable_points()) {
+      p = Point{p.x * scale + offset.x, p.y * scale + offset.y};
+    }
+    return t;
+  };
+  for (int k = 0; k < 120; ++k) {
+    const size_t la = length();
+    const size_t lb = k % 3 == 0 ? la : length();
+    pairs.emplace_back(RandomWalk(rng, la, id), RandomWalk(rng, lb, id + 1));
+    id += 2;
+  }
+  for (int k = 0; k < 12; ++k) {
+    const Trajectory a = RandomWalk(rng, length(), id++);
+    Trajectory copy = a;
+    copy.set_id(id++);
+    Trajectory doubled;
+    doubled.set_id(id++);
+    for (const Point& p : a.points()) {
+      doubled.mutable_points().push_back(p);
+      doubled.mutable_points().push_back(p);
+    }
+    const Point c{rng.Uniform(0, 2), rng.Uniform(0, 2)};
+    Trajectory constant;
+    constant.set_id(id++);
+    constant.mutable_points().assign(length(), c);
+    Trajectory other_constant = constant;
+    other_constant.set_id(id++);
+    other_constant.mutable_points().assign(length(), Point{c.x + 0.1, c.y});
+    pairs.emplace_back(a, copy);
+    pairs.emplace_back(a, doubled);
+    pairs.emplace_back(a, constant);
+    pairs.emplace_back(constant, other_constant);
+    const Point far{1.0e9 + 0.37, -3.0e8 - 0.11};
+    pairs.emplace_back(shifted(a, 1.0, far),
+                       shifted(RandomWalk(rng, length(), id++), 1.0, far));
+    pairs.emplace_back(shifted(a, 1.0e6, far), shifted(doubled, 1.0e6, far));
+  }
+  return pairs;
+}
+
+class DistanceSymmetryProperty
+    : public ::testing::TestWithParam<DistanceType> {};
+
+TEST_P(DistanceSymmetryProperty, ComputeAndWithinThresholdAreSymmetric) {
+  DistanceParams params;
+  params.epsilon = 0.15;  // ~ one step of the random walk
+  params.delta = 3;
+  params.erp_gap = Point{0.5, 0.5};
+  const auto dist = *MakeDistance(GetParam(), params);
+  const double inf = std::numeric_limits<double>::infinity();
+  size_t accepted_both_ways = 0;
+  for (const auto& [a, b] : SymmetryPairs()) {
+    const double ab = dist->Compute(a, b);
+    const double ba = dist->Compute(b, a);
+    uint64_t ab_bits, ba_bits;
+    std::memcpy(&ab_bits, &ab, sizeof(ab));
+    std::memcpy(&ba_bits, &ba, sizeof(ba));
+    ASSERT_EQ(ab_bits, ba_bits)
+        << dist->name() << " |a|=" << a.size() << " |b|=" << b.size()
+        << " ab=" << ab << " ba=" << ba;
+    for (const double tau : {ab, std::nextafter(ab, inf),
+                             std::nextafter(ab, -inf), 0.7 * ab, 1.3 * ab}) {
+      const bool forward = dist->WithinThreshold(a, b, tau);
+      EXPECT_EQ(forward, dist->WithinThreshold(b, a, tau))
+          << dist->name() << " |a|=" << a.size() << " |b|=" << b.size()
+          << " d=" << ab << " tau=" << tau;
+      accepted_both_ways += forward;
+    }
+    // Clear of the boundary, the threshold test must also agree with d.
+    EXPECT_TRUE(dist->WithinThreshold(a, b, 1.3 * ab)) << dist->name();
+    if (ab > 0.0) {
+      EXPECT_FALSE(dist->WithinThreshold(a, b, 0.7 * ab)) << dist->name();
+    }
+  }
+  EXPECT_GT(accepted_both_ways, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllDistances, DistanceSymmetryProperty,
+                         ::testing::Values(DistanceType::kDTW,
+                                           DistanceType::kFrechet,
+                                           DistanceType::kEDR,
+                                           DistanceType::kLCSS,
+                                           DistanceType::kERP),
+                         [](const auto& info) {
+                           return DistanceTypeName(info.param);
+                         });
 
 TEST(DpScratchTest, SteadyStateComputationsAreAllocationFree) {
   // First pass sizes the thread-local scratch lanes; afterwards the kernels

@@ -567,5 +567,133 @@ TEST(DitaEngineTest, RandomPartitioningComparison) {
             istats.num_partitions * CityDataset(200, 91).ByteSize());
 }
 
+using PairList = std::vector<std::pair<TrajectoryId, TrajectoryId>>;
+
+/// A self-join answer is sorted, has no duplicate, holds (b, a) for every
+/// (a, b), and holds each self-pair (a, a) once. With `ds` non-null every
+/// trajectory's self-pair must be present (its distance to itself is 0).
+void ExpectSymmetricAnswer(const PairList& pairs, const Dataset* ds) {
+  EXPECT_TRUE(std::is_sorted(pairs.begin(), pairs.end()));
+  EXPECT_EQ(std::adjacent_find(pairs.begin(), pairs.end()), pairs.end());
+  const std::set<std::pair<TrajectoryId, TrajectoryId>> all(pairs.begin(),
+                                                            pairs.end());
+  for (const auto& [a, b] : pairs) {
+    EXPECT_TRUE(all.count({b, a})) << "(" << a << ", " << b << ") unmirrored";
+  }
+  if (ds != nullptr) {
+    for (const Trajectory& t : ds->trajectories()) {
+      EXPECT_TRUE(all.count({t.id(), t.id()})) << "self-pair " << t.id();
+    }
+  }
+}
+
+/// The self-join answer is the brute-force one, symmetric and duplicate
+/// free, under every planner setting that moves edges between workers:
+/// orientation on and off, and division replicas on a skewed table.
+TEST(EngineJoinSymmetry, SelfJoinIsSymmetricUnderEveryPlan) {
+  GeneratorConfig gcfg;
+  gcfg.cardinality = 600;
+  gcfg.region = MBR(Point{0, 0}, Point{1, 1});
+  gcfg.step = 0.01;
+  gcfg.route_skew = 1.3;
+  gcfg.seed = 131;
+  const Dataset skewed = GenerateTaxiDataset(gcfg);
+  const Dataset city = CityDataset(150, 81);
+  const double tau = 0.01;
+  auto dist = *MakeDistance(DistanceType::kDTW);
+
+  for (const Dataset* ds : {&city, &skewed}) {
+    PairList expected;
+    for (const auto& a : ds->trajectories()) {
+      for (const auto& b : ds->trajectories()) {
+        if (dist->Compute(b, a) <= tau) expected.emplace_back(a.id(), b.id());
+      }
+    }
+    std::sort(expected.begin(), expected.end());
+    for (int mask = 0; mask < 4; ++mask) {
+      auto cluster = MakeCluster(8);
+      DitaConfig config = MetricConfig();
+      config.build.ng = 5;
+      config.enable_graph_orientation = mask & 1;
+      config.enable_division_balancing = mask & 2;
+      DitaEngine engine(cluster, config);
+      ASSERT_TRUE(engine.BuildIndex(*ds).ok());
+      DitaEngine::JoinStats stats;
+      auto got = engine.Join(engine, tau, &stats);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(*got, expected) << "mask=" << mask;
+      ExpectSymmetricAnswer(*got, ds);
+      EXPECT_EQ(stats.result_pairs, got->size());
+      EXPECT_EQ(stats.verify.accepted, stats.result_pairs);
+      if (ds == &skewed && (mask & 2) && !BuiltWithSanitizer()) {
+        EXPECT_GE(stats.divided_partitions, 1u);  // replicas took edges
+      }
+    }
+  }
+}
+
+/// A stopped self-join keeps only the edges whose probe completed, and
+/// each edge emits both orientations of its pairs, so the subset is still
+/// symmetric.
+TEST(EngineJoinSymmetry, StoppedSelfJoinSubsetIsSymmetric) {
+  auto cluster = MakeCluster();
+  DitaEngine engine(cluster, MetricConfig());
+  const Dataset ds = CityDataset(300, 51);
+  ASSERT_TRUE(engine.BuildIndex(ds).ok());
+  const auto full = engine.Join(engine, 0.03);
+  ASSERT_TRUE(full.ok());
+  const std::set<std::pair<TrajectoryId, TrajectoryId>> all(full->begin(),
+                                                            full->end());
+  size_t partial = 0;
+  for (uint64_t cancel_at : {256u, 1024u, 4096u, 16384u, 65536u}) {
+    QueryContext ctx;
+    ctx.CancelAfterOps(cancel_at);
+    DitaEngine::JoinStats stats;
+    const auto r = engine.Join(engine, 0.03, &stats, &ctx);
+    ASSERT_TRUE(r.ok()) << "cancel_at=" << cancel_at;
+    ExpectSymmetricAnswer(*r, nullptr);
+    for (const auto& pair : *r) EXPECT_TRUE(all.count(pair));
+    EXPECT_EQ(stats.verify.accepted, r->size());
+    EXPECT_TRUE(stats.funnel.MonotonicallyNonIncreasing())
+        << stats.funnel.ToTable();
+    partial += ctx.stopped() && !r->empty() && r->size() < full->size();
+  }
+  EXPECT_GT(partial, 0u);  // some cut landed mid-join with pairs kept
+}
+
+/// The fast path keys on identity, not data: a second engine built on the
+/// same table joins as a two-table join (nothing mirrored, a full
+/// bi-graph) and still gives the self-join's answer.
+TEST(EngineJoinSymmetry, TwinEngineJoinEqualsSelfJoinAndMirrorsNothing) {
+  auto cluster = MakeCluster();
+  const Dataset ds = CityDataset(200, 91);
+  DitaEngine engine(cluster, MetricConfig());
+  DitaEngine twin(cluster, MetricConfig());
+  ASSERT_TRUE(engine.BuildIndex(ds).ok());
+  ASSERT_TRUE(twin.BuildIndex(ds).ok());
+
+  DitaEngine::JoinStats self_stats, twin_stats;
+  const auto self = engine.Join(engine, 0.03, &self_stats);
+  const auto pair = engine.Join(twin, 0.03, &twin_stats);
+  ASSERT_TRUE(self.ok());
+  ASSERT_TRUE(pair.ok());
+  EXPECT_EQ(*self, *pair);
+  ExpectSymmetricAnswer(*self, &ds);
+
+  // Both count in ordered pairs, so the funnels end on the same answer.
+  EXPECT_EQ(self_stats.result_pairs, twin_stats.result_pairs);
+  EXPECT_GT(self_stats.mirrored_pairs, 0u);
+  EXPECT_LT(self_stats.mirrored_pairs, self_stats.candidate_pairs);
+  EXPECT_EQ(twin_stats.mirrored_pairs, 0u);
+  // The self-join's bi-graph is the twin join's upper triangle.
+  EXPECT_LT(self_stats.graph_edges, twin_stats.graph_edges);
+  for (const DitaEngine::JoinStats* s : {&self_stats, &twin_stats}) {
+    EXPECT_EQ(s->verify.pairs, s->candidate_pairs);
+    EXPECT_EQ(s->verify.accepted, s->result_pairs);
+    EXPECT_TRUE(s->funnel.MonotonicallyNonIncreasing()) << s->funnel.ToTable();
+    EXPECT_EQ(s->funnel.FinalSurvivors(), s->result_pairs);
+  }
+}
+
 }  // namespace
 }  // namespace dita

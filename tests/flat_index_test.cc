@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -44,13 +45,26 @@ TrieIndex::Options TrieOptions(size_t align_fanout, size_t pivot_fanout,
 /// Exercises one (index, spec) pair: the flat traversal must match the
 /// recursive reference exactly, including emission order, with and without
 /// probe counters and with a context that never stops; the counters must
-/// match the reference's too. Returns the reference output.
+/// match the reference's too. Under a minimum item, the reference must be
+/// the unrestricted output's items at or after it, in the same order.
+/// Returns the reference output.
 std::vector<uint32_t> ExpectTraversalsAgree(const TrieIndex& index,
                                             TrieIndex::SearchSpec spec) {
   std::vector<uint32_t> reference;
   TrieIndex::ProbeStats ref_stats;
   ref_stats.Reset(index.num_levels());
   index.CollectCandidatesReference(spec, &reference, &ref_stats);
+  if (spec.min_item != 0) {
+    TrieIndex::SearchSpec all = spec;
+    all.min_item = 0;
+    std::vector<uint32_t> unrestricted;
+    index.CollectCandidatesReference(all, &unrestricted);
+    std::vector<uint32_t> tail;
+    for (uint32_t pos : unrestricted) {
+      if (index.ItemIndex(pos) >= spec.min_item) tail.push_back(pos);
+    }
+    EXPECT_EQ(reference, tail) << "min_item=" << spec.min_item;
+  }
 
   std::vector<uint32_t> flat;
   index.CollectCandidates(spec, &flat);
@@ -78,12 +92,13 @@ std::vector<uint32_t> ExpectTraversalsAgree(const TrieIndex& index,
 /// max, edit count and the LCSS delta window. Returns how many of the
 /// outputs were non-empty.
 size_t ExpectAllModesAgree(const TrieIndex& index, const Trajectory& q,
-                           double tau) {
+                           double tau, uint32_t min_item = 0) {
   static const Point gap{116.4, 39.9};
   size_t nonempty = 0;
   TrieIndex::SearchSpec spec;
   spec.query = &q;
   spec.tau = tau;
+  spec.min_item = min_item;
   spec.mode = PruneMode::kAccumulate;
   nonempty += !ExpectTraversalsAgree(index, spec).empty();
   spec.erp_gap = &gap;  // ERP: gap matching, no endpoint alignment
@@ -261,6 +276,113 @@ TEST(FlatTrieTest, TauExactlyAtEndpointMinDistIsKept) {
   // Most boundary trajectories are kept (those whose endpoint node is
   // shared with a neighbour are kept too, with d < tau).
   EXPECT_GT(kept, few.size());
+}
+
+TEST(FlatTrieTest, MinItemMatchesReferenceAcrossModesAndShapes) {
+  // A self-join's diagonal probe collects only the items after its own.
+  // Minimum items 0, 1, mid-range and the last item, and in the multi-item
+  // shapes, items inside a leaf, which the traversal must clamp.
+  const std::vector<Trajectory> data = TestTrajectories(400, 91);
+  const std::vector<Trajectory> queries = TestTrajectories(6, 17);
+  const TrieIndex::Options shapes[] = {TrieOptions(2, 2, 1),
+                                       TrieOptions(8, 4, 4),
+                                       TrieOptions(32, 16, 16),
+                                       TrieIndex::Options{}};
+  for (const TrieIndex::Options& shape : shapes) {
+    TrieIndex index;
+    ASSERT_TRUE(index.Build(data, shape).ok());
+    const uint32_t n = static_cast<uint32_t>(index.size());
+    size_t nonempty = 0;
+    for (size_t i = 0; i < queries.size() + 4; ++i) {
+      const Trajectory& q =
+          i < queries.size() ? queries[i] : data[(i * 89) % data.size()];
+      for (uint32_t min_item : {0u, 1u, 2u, 7u, n / 2, n / 2 + 1, n - 1}) {
+        for (double tau : {0.0, 0.02, 0.1, 0.5}) {
+          nonempty += ExpectAllModesAgree(index, q, tau, min_item);
+        }
+      }
+    }
+    EXPECT_GT(nonempty, 0u);
+  }
+}
+
+TEST(FlatTrieTest, MinItemInsideMultiItemLeafIsClamped) {
+  // The LeafAfterInternalSiblingKeepsDfsOrder shape at leaf capacity 4:
+  // level-0 nodes of 5, 4, 5 and 4 trajectories, the 4s being leaves, so
+  // items [5, 9) are one leaf. An unbounded budget passes every node: the
+  // output is exactly the items from the minimum on, in DFS order.
+  const std::vector<Trajectory> data = TestTrajectories(18, 8);
+  TrieIndex index;
+  ASSERT_TRUE(index.Build(data, TrieOptions(4, 2, 4)).ok());
+  ASSERT_EQ(index.SubtreeCount(1), 5u);
+  ASSERT_EQ(index.SubtreeCount(2), 4u);
+  ASSERT_EQ(index.SubtreeCount(0), 18u);
+  TrieIndex::SearchSpec spec;
+  spec.query = &data[0];
+  spec.tau = std::numeric_limits<double>::infinity();
+  for (PruneMode mode : {PruneMode::kAccumulate, PruneMode::kMax}) {
+    spec.mode = mode;
+    for (uint32_t min_item = 0; min_item <= 18; ++min_item) {
+      spec.min_item = min_item;
+      const std::vector<uint32_t> out = ExpectTraversalsAgree(index, spec);
+      ASSERT_EQ(out.size(), 18u - min_item) << "min_item=" << min_item;
+      for (size_t k = 0; k < out.size(); ++k) {
+        EXPECT_EQ(index.ItemIndex(out[k]), min_item + k);
+      }
+    }
+  }
+}
+
+TEST(FlatTrieTest, MinItemNeverDropsATrueMatchAtOrAfterIt) {
+  // The diagonal probe's contract: every true match at item >= the minimum
+  // is a candidate, and nothing before it is.
+  const std::vector<Trajectory> data = TestTrajectories(300, 29);
+  DistanceParams params;
+  params.epsilon = 0.004;
+  params.delta = 3;
+  const TrieIndex::Options shapes[] = {TrieOptions(8, 4, 4),
+                                       TrieIndex::Options{}};
+  for (const TrieIndex::Options& shape : shapes) {
+    TrieIndex index;
+    ASSERT_TRUE(index.Build(data, shape).ok());
+    for (DistanceType type :
+         {DistanceType::kDTW, DistanceType::kFrechet, DistanceType::kEDR,
+          DistanceType::kLCSS, DistanceType::kERP}) {
+      const auto dist = *MakeDistance(type, params);
+      const bool edit =
+          type == DistanceType::kEDR || type == DistanceType::kLCSS;
+      size_t kept = 0;
+      for (uint32_t pos = 0; pos < index.size(); pos += 13) {
+        const Trajectory& q = index.trajectory(pos);
+        TrieIndex::SearchSpec spec;
+        spec.query = &q;
+        spec.tau = edit ? 3.0 : 0.02;
+        spec.mode = dist->prune_mode();
+        spec.epsilon = dist->matching_epsilon();
+        if (type == DistanceType::kLCSS) spec.lcss_delta = params.delta;
+        if (type == DistanceType::kERP) spec.erp_gap = &params.erp_gap;
+        for (uint32_t min_item : {index.ItemIndex(pos),
+                                  index.ItemIndex(pos) + 1, pos / 2}) {
+          spec.min_item = min_item;
+          std::vector<uint32_t> out;
+          index.CollectCandidates(spec, &out);
+          const std::set<uint32_t> got(out.begin(), out.end());
+          for (uint32_t c : out) EXPECT_GE(index.ItemIndex(c), min_item);
+          for (uint32_t t = 0; t < index.size(); ++t) {
+            if (index.ItemIndex(t) < min_item ||
+                dist->Compute(index.trajectory(t), q) > spec.tau) {
+              continue;
+            }
+            ++kept;
+            EXPECT_TRUE(got.count(t))
+                << dist->name() << " dropped item " << index.ItemIndex(t)
+                << " at min_item " << min_item;
+          }
+        }
+      }
+      EXPECT_GT(kept, 0u) << dist->name();
+    }
+  }
 }
 
 TEST(FlatTrieTest, ParallelBuildIsBitIdenticalToSerial) {
